@@ -29,7 +29,7 @@ class Table07_VariantsBench extends BenchSpec {
     for (d <- Datasets.all) {
       val (ts, tt) = tuned(d.name)
       val base  = Engine.run(sc, d.graph, d.gamma, d.tauSize, ABase, EngineConfig(16, tauSplit = ts))
-      val split = Engine.run(sc, d.graph, d.gamma, d.tauSize, ASplit(ts), EngineConfig(16, tauSplit = ts))
+      val split = Engine.run(sc, d.graph, d.gamma, d.tauSize, ASplit, EngineConfig(16, tauSplit = ts))
       val time  = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(tt), EngineConfig(16, tauSplit = ts))
       row(f"${d.name}%-15s $ts%6d ${tt / 1000}%8.3f | ${sec(base.wallMillis)}%8s ${sec(split.wallMillis)}%8s ${sec(time.wallMillis)}%8s | " +
         f"${gb(base.peakHeapMB)}%6s ${gb(split.peakHeapMB)}%6s ${gb(time.peakHeapMB)}%6s | ${time.numMaximal}%9d ${sec(time.postMillis)}%8s")

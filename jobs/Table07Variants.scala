@@ -17,7 +17,7 @@ object Table07Variants {
     println(f"${"Data"}%-15s ${"A_base(s)"}%10s ${"A_split(s)"}%11s ${"A_time(s)"}%10s ${"#Maximal"}%9s")
     for (d <- picks) {
       val base  = Engine.run(sc, d.graph, d.gamma, d.tauSize, ABase, EngineConfig(16, tauSplit = 50))
-      val split = Engine.run(sc, d.graph, d.gamma, d.tauSize, ASplit(50), EngineConfig(16, tauSplit = 50))
+      val split = Engine.run(sc, d.graph, d.gamma, d.tauSize, ASplit, EngineConfig(16, tauSplit = 50))
       val time  = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(100.0), EngineConfig(16, tauSplit = 50))
       println(f"${d.name}%-15s ${base.wallMillis / 1000}%10.2f ${split.wallMillis / 1000}%11.2f ${time.wallMillis / 1000}%10.2f ${time.numMaximal}%9d")
     }

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.SparkContext
 import repro.graph.LocalGraph
+import repro.gthinker.Engine
 
 /** The three G-thinker applications of Table 4 — triangle counting (TC),
   * maximum clique finding (MCF) and subgraph matching (GM, here: counting
@@ -14,22 +15,11 @@ object GThinkerApps {
 
   final case class AppResult(value: Long, millis: Double)
 
-  /** Order + place per-vertex tasks on p workers. Big = high degree. */
-  private def placedVertices(sc: SparkContext, g: LocalGraph, p: Int,
-                             prioritizeBig: Boolean) = {
-    val vs = (0 until g.n).toArray
-    val buckets = Array.fill(p)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    if (prioritizeBig) {
-      val ordered = vs.sortBy(v => -g.degree(v))
-      var i = 0
-      while (i < ordered.length) { buckets(i % p) += ordered(i); i += 1 }
-    } else {
-      var i = 0
-      while (i < vs.length) { buckets(vs(i) % p) += vs(i); i += 1 }
-    }
-    val keyed = buckets.zipWithIndex.flatMap { case (b, i) => b.map(v => (i, v)) }.toSeq
-    sc.parallelize(keyed, p).partitionBy(new org.apache.spark.HashPartitioner(p)).values
-  }
+  /** Place per-vertex tasks on p workers with the engine's placement. Big =
+    * high degree; the owner of a vertex task is the vertex.
+    */
+  private def placedVertices(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean) =
+    Engine.place(sc, 0 until g.n, p, prioritizeBig, bigFrom = 0)(g.degree, v => v)
 
   private def run(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean)
                  (perVertex: (LocalGraph, Int) => Long): AppResult = {

@@ -3,9 +3,9 @@ package repro.core
 import repro.graph.LocalGraph
 import scala.collection.mutable.ArrayBuffer
 
-/** Configuration separating Quick+ from the original Quick baseline.
+/** Quick+ or the original Quick baseline.
   *
-  * Quick+ (Section 6) improves Quick in three ways, each a flag here:
+  * Quick+ (Section 6) improves Quick in three ways:
   *  - all critical vertices are moved per bounding iteration (Quick: one);
   *  - boundary cases of the U_S / L_S computation trigger Type-II pruning
   *    (Quick: falls back to a loose bound);
@@ -14,29 +14,21 @@ import scala.collection.mutable.ArrayBuffer
   *    ext(S') becomes empty after diameter shrinking (Quick misses these
   *    checks and thus can miss maximal results).
   */
-final case class MinerConfig(
-    allCriticalVertices: Boolean,
-    boundaryPrunes: Boolean,
-    checkBeforeCriticalMove: Boolean,
-    checkOnTheorem4i: Boolean,
-    checkOnEmptyDiameterShrink: Boolean)
+final case class MinerConfig(isQuickPlus: Boolean)
 
 object Miner {
-  /** Thrown when a serial mining run exceeds its wall-clock cap (used by the
+  /** Thrown when a mining run exceeds its wall-clock cap (used by the
     * Table 15 bench to mirror the paper's "> 24 hr" rows).
     */
   final class DeadlineExceeded extends RuntimeException("miner deadline exceeded")
+
+  /** The spawn rule of plain recursion (A_base): no child becomes a task. */
+  val NeverSpawn: Int => Boolean = _ => false
 }
 
 object MinerConfig {
-  val quickPlus: MinerConfig = MinerConfig(
-    allCriticalVertices = true, boundaryPrunes = true,
-    checkBeforeCriticalMove = true, checkOnTheorem4i = true,
-    checkOnEmptyDiameterShrink = true)
-  val quick: MinerConfig = MinerConfig(
-    allCriticalVertices = false, boundaryPrunes = false,
-    checkBeforeCriticalMove = false, checkOnTheorem4i = false,
-    checkOnEmptyDiameterShrink = false)
+  val quickPlus: MinerConfig = MinerConfig(isQuickPlus = true)
+  val quick: MinerConfig     = MinerConfig(isQuickPlus = false)
 }
 
 /** Wall-clock nanoseconds spent in each pruning phase (Table 16). */
@@ -53,10 +45,12 @@ final class PhaseTimers extends Serializable {
 
 /** The recursive quasi-clique miner over one in-memory graph.
   *
-  * Implements Algorithm 2 (`iterativeBounding`), Algorithm 3
-  * (`recursiveMine`), Algorithm 8's decomposition loop
-  * (`decomposeOneLevel`) and Algorithm 10 (`timeDelayed`). The instance is
-  * single-threaded: membership/degree scratch arrays are reused via stamps.
+  * Implements Algorithm 2 (`iterativeBounding`) and one set-enumeration
+  * search (`mine`) that is Algorithm 3 (`recursiveMine`), Algorithm 8's
+  * decomposition and Algorithm 10's timeout decomposition at once: they
+  * differ only in whether a child that survives bounding is recursed into
+  * or spawned as a new task. The instance is single-threaded:
+  * membership/degree scratch arrays are reused via stamps.
   *
   * Every candidate result is emitted through `sink` (vertex ids of `g`,
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
@@ -75,6 +69,8 @@ final class Miner(
 
   require(gamma >= 0.5 && gamma <= 1.0, s"miner assumes diameter-2 pruning, needs gamma in [0.5,1], got $gamma")
   import QuasiClique.ceilGamma
+
+  private val plus = config.isQuickPlus
 
   private val n = g.n
   // stamped membership + degree scratch (valid while `stamp` is unchanged)
@@ -138,7 +134,7 @@ final class Miner(
     // reverse to non-increasing
     var lo = 0; var hi = dsExt.length - 1
     while (lo < hi) { val t = dsExt(lo); dsExt(lo) = dsExt(hi); dsExt(hi) = t; lo += 1; hi -= 1 }
-    val v = Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat = !config.boundaryPrunes)
+    val v = Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat = !plus)
     if (timers ne null) timers.boundNs += System.nanoTime - t0
     v
   }
@@ -156,7 +152,7 @@ final class Miner(
       computeDegrees(s, ext)
       boundsOf(s, ext) match {
         case Bounds.PruneExtensions =>
-          if (config.boundaryPrunes || config.checkOnTheorem4i) checkOutput(s)
+          if (plus) checkOutput(s)
           return true
         case Bounds.PruneAll => return true
         case Bounds.Ok(us0, ls0) =>
@@ -169,7 +165,7 @@ final class Miner(
             val need = ceilGamma(gamma, s.length + ls - 1)
             val moved = ArrayBuffer.empty[Int]
             var i = 0
-            var limitOne = !config.allCriticalVertices
+            val limitOne = !plus
             while (i < s.length && !(limitOne && moved.nonEmpty)) {
               val v = s(i)
               if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
@@ -186,14 +182,14 @@ final class Miner(
             if (moved.isEmpty) critDone = true
             else {
               // the paper examines G(S) before expanding it (missed by Quick)
-              if (config.checkBeforeCriticalMove) checkOutput(s)
+              if (plus) checkOutput(s)
               s ++= moved
               ext.filterInPlace(u => !moved.contains(u))
               if (ext.nonEmpty) {
                 computeDegrees(s, ext)
                 boundsOf(s, ext) match {
                   case Bounds.PruneExtensions =>
-                    if (config.boundaryPrunes || config.checkOnTheorem4i) checkOutput(s)
+                    if (plus) checkOutput(s)
                     return true
                   case Bounds.PruneAll => return true
                   case Bounds.Ok(u2, l2) =>
@@ -219,7 +215,7 @@ final class Miner(
             }
             if (thm4i) {
               // extensions pruned but G(S) itself survives (Quick prunes it)
-              if (config.checkOnTheorem4i) checkOutput(s)
+              if (plus) checkOutput(s)
               return true
             }
             // ---- Type-I pruning (Theorems 3, 5, 7) ----
@@ -337,13 +333,28 @@ final class Miner(
     }
   }
 
-  // ------------------------------------------------------- Algorithm 3
+  // ------------------------------------------------ Algorithms 3, 8, 10
 
   /** Mines all valid quasi-cliques extended from S (including G(S) when no
-    * strict extension is found). Returns true iff some valid quasi-clique
-    * strictly extending S was emitted.
+    * strict extension is found), never spawning. Returns true iff some
+    * valid quasi-clique strictly extending S was emitted.
     */
-  def recursiveMine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int]): Boolean = {
+  def recursiveMine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int]): Boolean =
+    mine(s0, ext0, Miner.NeverSpawn, null)
+
+  /** The set-enumeration search. A child ⟨S', ext(S')⟩ at recursion depth
+    * `d` (0 = children of the given S) that survives bounding is recursed
+    * into unless `spawnAt(d)`; then it is handed to `spawn` and G(S') is
+    * examined right away, since the parent cannot see the new task's
+    * findings (Alg 8 line 15, Alg 10 line 23). Returns what
+    * `recursiveMine` returns, counting only the recursed children.
+    */
+  def mine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], spawnAt: Int => Boolean,
+           spawn: (Array[Int], Array[Int]) => Unit): Boolean =
+    search(s0, ext0, 0, spawnAt, spawn)
+
+  private def search(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], depth: Int,
+                     spawnAt: Int => Boolean, spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
     var qFound = false
     val (ext, nHead) = orderExt(s0, ext0)
     var examined = 0
@@ -356,78 +367,15 @@ final class Miner(
       val s1 = s0.clone() += v
       if (ext1.isEmpty) {
         // boundary case missed by the original Quick (may lose results)
-        if (config.checkOnEmptyDiameterShrink && checkOutput(s1)) qFound = true
+        if (plus && checkOutput(s1)) qFound = true
       } else {
         val pruned = iterativeBounding(s1, ext1)
         if (!pruned && s1.length + ext1.length >= tauSize) {
-          val found = recursiveMine(s1, ext1)
-          if (found) qFound = true
-          else if (checkOutput(s1)) qFound = true
-        }
-      }
-      examined += 1
-    }
-    qFound
-  }
-
-  // ------------------------------------------- Algorithm 8 (A_split step)
-
-
-  /** One level of divide-and-conquer: instead of recursing, each surviving
-    * child ⟨S', ext(S')⟩ is handed to `spawn` (G(S') is examined eagerly
-    * since the parent cannot see the child's findings).
-    */
-  def decomposeOneLevel(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int],
-                        spawn: (Array[Int], Array[Int]) => Unit): Unit = {
-    val (ext, nHead) = orderExt(s0, ext0)
-    var examined = 0
-    while (examined < nHead) {
-      if (s0.length + ext.length < tauSize) return
-      if (lookahead(s0, ext)) return
-      val v = ext.remove(0)
-      val ext1 = diameterShrink(ext, v)
-      val s1 = s0.clone() += v
-      checkOutput(s1) // Alg 8 line 15: examine G(t'.S) right away
-      if (ext1.nonEmpty) {
-        val pruned = iterativeBounding(s1, ext1)
-        if (!pruned && s1.length + ext1.length >= tauSize)
-          spawn(s1.toArray, ext1.toArray)
-      }
-      examined += 1
-    }
-  }
-
-  // ------------------------------------------------------ Algorithm 10
-
-  /** Timeout-based divide and conquer: depth-first mining that, once
-    * `tauTimeNanos` have elapsed since `startNanos`, wraps every surviving
-    * branch as a subtask via `spawn` while backtracking (Figure 9).
-    */
-  def timeDelayed(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int],
-                  startNanos: Long, tauTimeNanos: Long,
-                  spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
-    var qFound = false
-    val (ext, nHead) = orderExt(s0, ext0)
-    var examined = 0
-    while (examined < nHead) {
-      if (s0.length + ext.length < tauSize) return qFound
-      if (lookahead(s0, ext)) return true
-      val v = ext.remove(0)
-      val ext1 = diameterShrink(ext, v)
-      val s1 = s0.clone() += v
-      if (ext1.isEmpty) {
-        if (checkOutput(s1)) qFound = true
-      } else {
-        val pruned = iterativeBounding(s1, ext1)
-        if (!pruned && s1.length + ext1.length >= tauSize) {
-          if (System.nanoTime - startNanos > tauTimeNanos) {
+          if (spawnAt(depth)) {
             spawn(s1.toArray, ext1.toArray)
-            checkOutput(s1) // cannot see the subtask's findings (Alg 10 L23)
-          } else {
-            val found = timeDelayed(s1, ext1, startNanos, tauTimeNanos, spawn)
-            if (found) qFound = true
-            else if (checkOutput(s1)) qFound = true
-          }
+            checkOutput(s1)
+          } else if (search(s1, ext1, depth + 1, spawnAt, spawn)) qFound = true
+          else if (checkOutput(s1)) qFound = true
         }
       }
       examined += 1

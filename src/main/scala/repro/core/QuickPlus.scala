@@ -3,10 +3,33 @@ package repro.core
 import repro.graph.{GraphOps, LocalGraph}
 import scala.collection.mutable.ArrayBuffer
 
+/** A k-core-pruned (and optionally cover-recoded) mining graph: vertex v of
+  * `graph` is vertex `ids(v)` of the input graph, and ego tasks are spawned
+  * from the vertices below `spawnUpper`.
+  */
+final case class MiningGraph(k: Int, graph: LocalGraph, ids: Array[Int], spawnUpper: Int)
+
 /** Task spawning shared by the serial miners and the G-thinker engine:
-  * Algorithms 4, 6 and 7 — the k-core-pruned 2-hop ego network of a vertex.
+  * the prelude that prepares the graph, and Algorithms 4, 6 and 7 — the
+  * k-core-pruned 2-hop ego network of a vertex.
   */
 object TaskSpawn {
+
+  /** k-core prune `g` for (γ, τ_size) (P2/T1), then optionally recode ids
+    * for the degenerate cover rule (P7/T6).
+    */
+  def prelude(g: LocalGraph, gamma: Double, tauSize: Int, recode: Boolean): MiningGraph = {
+    require(tauSize >= 1, s"tauSize must be at least 1, got $tauSize")
+    val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
+    val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
+    if (!recode || gK.n == 0) MiningGraph(k, gK, idsK, gK.n)
+    else {
+      val (gm, ids) = GraphOps.recodeByCover(gK)
+      // Tasks spawned from N(v_max) (the tail id block) can only find
+      // quasi-cliques inside N(v_max), which v_max itself extends — skip.
+      MiningGraph(k, gm, ids.map(idsK), gm.n - gm.degree(0))
+    }
+  }
 
   /** The task subgraph spawned from `v`: induced by {v} ∪ {u ∈ B(v) : u > v,
     * d(u) >= k}, shrunk to its k-core. Returns None when v itself is pruned
@@ -46,10 +69,10 @@ final case class MineOutcome(
 /** Serial drivers for Quick+ (and, via config, the original Quick).
   *
   * `mineSerial` is the single-threaded reference used by Table 15 and by
-  * every correctness test: k-core prune the graph (P2/T1), optionally recode
-  * ids for the degenerate cover rule (P7/T6) — which lets us skip spawning
-  * from N(v_max) entirely — then mine each per-vertex ego task with
-  * Algorithm 3 and post-process away non-maximal outputs.
+  * every correctness test: the shared `TaskSpawn.prelude` (k-core, optional
+  * recoding, which lets us skip spawning from N(v_max) entirely), then each
+  * per-vertex ego task is mined with Algorithm 3 and non-maximal outputs are
+  * post-processed away.
   */
 object QuickPlus {
 
@@ -63,17 +86,7 @@ object QuickPlus {
       capMillis: Long = Long.MaxValue): MineOutcome = {
     val t0 = System.nanoTime
     val deadline = if (capMillis == Long.MaxValue) Long.MaxValue else t0 + capMillis * 1000000L
-    val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
-    val (gm, ids) =
-      if (recode && gK.n > 0) {
-        val (g2, ids2) = GraphOps.recodeByCover(gK)
-        (g2, ids2.map(idsK))
-      } else (gK, idsK)
-
-    // With recoding, tasks spawned from N(v_max) (the tail id block) can only
-    // find quasi-cliques inside N(v_max), which v_max itself extends — skip.
-    val spawnUpper = if (recode && gm.n > 0) gm.n - gm.degree(0) else gm.n
+    val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tauSize, recode)
 
     val out = ArrayBuffer.empty[Array[Int]]
     var timedOut = false

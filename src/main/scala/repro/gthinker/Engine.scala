@@ -1,31 +1,46 @@
 package repro.gthinker
 
 import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.util.AccumulatorV2
 import repro.core._
 import repro.graph.{GraphOps, LocalGraph}
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 
 /** A mining task ⟨S, ext(S)⟩ in ids of the engine's (k-core-pruned, recoded)
   * global graph. The task's subgraph is the one induced by s ++ ext; it is
   * materialized from the broadcast graph when the task is executed, and that
   * materialization time is metered separately (Tables 12–14).
   */
-final case class QCTask(root: Int, s: Array[Int], ext: Array[Int]) {
-  def extSize: Int = ext.length
-}
+final case class QCTask(root: Int, s: Array[Int], ext: Array[Int])
 
 /** Per-task record for the straggler study of Tables 1–2. */
 final case class TaskStat(root: Int, nV: Int, nE: Long, maxDeg: Int,
                           avgDeg: Double, coreNum: Int, mineNanos: Long)
 
-/** The three algorithm variants of Section 8. */
-sealed trait Mode extends Serializable
+/** The three algorithm variants of Section 8. Each one decides, for a
+  * child that survives bounding, whether the single set-enumeration search
+  * (`Miner.mine`) recurses into it or spawns it as a new task.
+  */
+sealed trait Mode extends Serializable {
+  /** The spawn rule for one task with |ext| = `extSize` whose mining
+    * started at `startNanos`: a function of the child's recursion depth.
+    */
+  def spawnRule(extSize: Int, tauSplit: Int, startNanos: Long): Int => Boolean = this match {
+    case ABase => Miner.NeverSpawn
+    case ASplit => if (extSize > tauSplit) _ == 0 else Miner.NeverSpawn
+    case ATime(ms) =>
+      val budget = (ms * 1e6).toLong
+      _ => System.nanoTime - startNanos > budget
+  }
+}
 /** Mine each spawned task's set-enumeration subtree fully in serial. */
 case object ABase extends Mode
-/** Decompose while ext(S) is larger than τ_split (Algorithm 8). */
-final case class ASplit(tauSplit: Int) extends Mode
+/** Decompose while ext(S) is larger than τ_split (Algorithm 8): a task with
+  * |ext| > `EngineConfig.tauSplit` spawns its root's children.
+  */
+case object ASplit extends Mode
 /** Mine for τ_time, then wrap remaining branches as subtasks (Algs 9–10). */
 final case class ATime(tauTimeMillis: Double) extends Mode
 
@@ -33,15 +48,16 @@ final case class ATime(tauTimeMillis: Double) extends Mode
   * engine (per-thread local queues only: subtasks stay hashed to their
   * spawning worker, no big-task-first ordering); `true` is the paper's
   * redesign (global big-task queue + stealing ≈ sort big tasks first and
-  * round-robin them across workers each round).
+  * round-robin them across workers each round). `tauSplit` is the paper's
+  * τ_split: A_split's threshold and the size from which a task is big.
   */
 final case class EngineConfig(
     parallelism: Int,
     prioritizeBigTasks: Boolean = true,
     tauSplit: Int = 100,
-    recode: Boolean = true,
-    recordTaskStats: Boolean = false,
-    minerConfig: MinerConfig = MinerConfig.quickPlus)
+    recordTaskStats: Boolean = false) {
+  require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
+}
 
 final case class EngineResult(
     maximal: Seq[Array[Int]],
@@ -59,29 +75,25 @@ final case class EngineResult(
   def numMaximal: Int = maximal.size
 }
 
-/** Accumulator tracking the maximum of longs (longest task). */
-final class MaxAccumulator extends AccumulatorV2[Long, Long] {
-  private var v: Long = 0L
-  override def isZero: Boolean = v == 0L
-  override def copy(): MaxAccumulator = { val a = new MaxAccumulator; a.v = v; a }
-  override def reset(): Unit = v = 0L
-  override def add(x: Long): Unit = if (x > v) v = x
-  override def merge(o: AccumulatorV2[Long, Long]): Unit = if (o.value > v) v = o.value
-  override def value: Long = v
+/** One partition's metric totals for one Spark job. It travels in the
+  * collected `Emit` stream, so a retried Spark task is counted once.
+  */
+private final case class Totals(mineNs: Long = 0L, matNs: Long = 0L, tasks: Long = 0L,
+                                spawned: Long = 0L, maxTaskNs: Long = 0L) {
+  def +(o: Totals): Totals = Totals(mineNs + o.mineNs, matNs + o.matNs, tasks + o.tasks,
+    spawned + o.spawned, math.max(maxTaskNs, o.maxTaskNs))
 }
 
 private sealed trait Emit extends Serializable
 private final case class EmitResult(vs: Array[Int]) extends Emit
 private final case class EmitTask(t: QCTask) extends Emit
 private final case class EmitStat(s: TaskStat) extends Emit
+private final case class EmitTotals(t: Totals) extends Emit
 
 /** The redesigned G-thinker execution engine on Spark.
   *
   * One Spark round = every worker drains its task list once. Between rounds
-  * the driver re-places tasks: with big-task prioritization, tasks with
-  * |ext| >= τ_split are sorted descending and dealt round-robin over the
-  * `parallelism` workers (global queue + stealing), the rest follow; the
-  * old engine hashes tasks to their spawning worker in arrival order.
+  * the driver re-places tasks with `place`.
   */
 object Engine {
 
@@ -89,39 +101,25 @@ object Engine {
   def run(sc: SparkContext, g: LocalGraph, gamma: Double, tauSize: Int,
           mode: Mode, conf: EngineConfig): EngineResult = {
     val wall0 = System.nanoTime
-    val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
-    val (gm, ids) =
-      if (conf.recode && gK.n > 0) {
-        val (g2, ids2) = GraphOps.recodeByCover(gK)
-        (g2, ids2.map(idsK))
-      } else (gK, idsK)
-
-    if (gm.n == 0)
-      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
-
-    val bc = sc.broadcast(gm)
-    val acc = Accs(sc)
-    val spawnUpper = if (conf.recode) gm.n - gm.degree(0) else gm.n
-    val p = math.max(1, conf.parallelism)
-    val matAcc = acc.mat
-
-    // ---- round 0: spawn per-vertex ego tasks (Algorithms 4, 6, 7) ----
-    val tasks0: Array[QCTask] = sc.parallelize(0 until spawnUpper, p).mapPartitions { it =>
-      val graph = bc.value
-      it.flatMap { v =>
-        val t0 = System.nanoTime
-        val built = TaskSpawn.egoTask(graph, v, k).map { case (core, coreIds) =>
-          QCTask(v, Array(v), coreIds.drop(1))
+    val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = true)
+    val k = mg.k // a local, so that the closure below does not capture mg.graph
+    execute(sc, mg.graph, mg.ids, gamma, tauSize, mode, conf, wall0) { bc =>
+      // round 0, one Spark job: spawn per-vertex ego tasks (Algorithms 4, 6, 7)
+      sc.parallelize(0 until mg.spawnUpper, conf.parallelism).mapPartitions { it =>
+        val graph = bc.value
+        val out = ArrayBuffer.empty[Emit]
+        var matNs = 0L
+        it.foreach { v =>
+          val t0 = System.nanoTime
+          TaskSpawn.egoTask(graph, v, k).foreach { case (_, coreIds) =>
+            out += EmitTask(QCTask(v, Array(v), coreIds.drop(1)))
+          }
+          matNs += System.nanoTime - t0
         }
-        matAcc.add(System.nanoTime - t0)
-        built
-      }
-    }.collect()
-
-    val res = mineLoop(sc, bc, acc, ids, tasks0, gamma, tauSize, mode, conf, wall0)
-    bc.destroy()
-    res
+        out += EmitTotals(Totals(matNs = matNs))
+        out.iterator
+      }.collect()
+    }
   }
 
   /** Kernel-expansion entry (Tables 9, 11): initial tasks are given directly
@@ -130,104 +128,43 @@ object Engine {
     */
   def runFromTasks(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
                    tasks0: Array[QCTask], gamma: Double, tauSize: Int,
-                   mode: Mode, conf: EngineConfig): EngineResult = {
-    val wall0 = System.nanoTime
-    if (gm.n == 0 || tasks0.isEmpty)
+                   mode: Mode, conf: EngineConfig): EngineResult =
+    execute(sc, gm, ids, gamma, tauSize, mode, conf, System.nanoTime)(_ => tasks0.map(EmitTask))
+
+  /** Broadcast `gm`, take the initial emission from `initial`, run rounds
+    * until no task is left, and map the results back through `ids`.
+    */
+  private def execute(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
+                      gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig,
+                      wall0: Long)(initial: Broadcast[LocalGraph] => Array[Emit]): EngineResult = {
+    if (gm.n == 0)
       return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
-    val bc  = sc.broadcast(gm)
-    val acc = Accs(sc)
-    val res = mineLoop(sc, bc, acc, ids, tasks0, gamma, tauSize, mode, conf, wall0)
-    bc.destroy()
-    res
-  }
-
-  private final case class Accs(
-      mine: org.apache.spark.util.LongAccumulator,
-      mat: org.apache.spark.util.LongAccumulator,
-      proc: org.apache.spark.util.LongAccumulator,
-      spawned: org.apache.spark.util.LongAccumulator,
-      max: MaxAccumulator)
-
-  private object Accs {
-    def apply(sc: SparkContext): Accs = {
-      val m = new MaxAccumulator
-      sc.register(m, "maxTaskNs")
-      Accs(sc.longAccumulator("miningNs"), sc.longAccumulator("materializeNs"),
-        sc.longAccumulator("tasksProcessed"), sc.longAccumulator("subtasksSpawned"), m)
-    }
-  }
-
-  private def mineLoop(sc: SparkContext,
-                       bc: org.apache.spark.broadcast.Broadcast[LocalGraph],
-                       acc: Accs, ids: Array[Int], tasks0: Array[QCTask],
-                       gamma: Double, tauSize: Int, mode: Mode,
-                       conf: EngineConfig, wall0: Long): EngineResult = {
-    val p = math.max(1, conf.parallelism)
+    val bc = sc.broadcast(gm)
     val results = ArrayBuffer.empty[Array[Int]]
     val stats   = ArrayBuffer.empty[TaskStat]
-    var rounds  = 0
+    var totals  = Totals()
     var peakHeap = usedHeapMB()
-    var tasks = tasks0
-    val mineAcc = acc.mine; val matAcc = acc.mat
-    val procAcc = acc.proc; val spawnAcc = acc.spawned; val maxAcc = acc.max
-    val gammaL = gamma; val tauSizeL = tauSize; val confL = conf; val modeL = mode
-
-    while (tasks.nonEmpty) {
-      rounds += 1
-      val placed = place(sc, tasks, p, confL)
-      val emitted = placed.mapPartitions { it =>
-        val graph = bc.value
-        val out = ArrayBuffer.empty[Emit]
-        it.foreach { t =>
-          val m0 = System.nanoTime
-          val verts = new Array[Int](t.s.length + t.ext.length)
-          System.arraycopy(t.s, 0, verts, 0, t.s.length)
-          System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
-          val (sub, oldIds) = GraphOps.induced(graph, verts)
-          matAcc.add(System.nanoTime - m0)
-          if (confL.recordTaskStats) {
-            val f = GraphOps.features(sub)
-            out += EmitStat(TaskStat(t.root, f.nV, f.nE, f.maxDeg, f.avgDeg, f.coreNum, 0L))
-          }
-          val statIdx = out.length - 1
-          val t1 = System.nanoTime
-          val sink = (arr: Array[Int]) => {
-            out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
-          }
-          val spawnChild = (s: Array[Int], e: Array[Int]) => {
-            spawnAcc.add(1)
-            out += EmitTask(QCTask(t.root, s.map(oldIds), e.map(oldIds))); ()
-          }
-          val miner = new Miner(sub, gammaL, tauSizeL, sink, confL.minerConfig)
-          val sBuf = ArrayBuffer.from(0 until t.s.length)
-          val eBuf = ArrayBuffer.from(t.s.length until verts.length)
-          modeL match {
-            case ABase => miner.recursiveMine(sBuf, eBuf)
-            case ASplit(ts) =>
-              if (eBuf.length <= ts) miner.recursiveMine(sBuf, eBuf)
-              else miner.decomposeOneLevel(sBuf, eBuf, spawnChild)
-            case ATime(ms) =>
-              miner.timeDelayed(sBuf, eBuf, t1, (ms * 1e6).toLong, spawnChild)
-          }
-          val dt = System.nanoTime - t1
-          mineAcc.add(dt); maxAcc.add(dt); procAcc.add(1)
-          if (confL.recordTaskStats) out(statIdx) match {
-            case EmitStat(s0) => out(statIdx) = EmitStat(s0.copy(mineNanos = dt))
-            case _            => ()
-          }
-        }
-        out.iterator
-      }.collect()
-
+    // keep what a job emitted and return the tasks for the next round
+    def absorb(emitted: Array[Emit]): Seq[QCTask] = {
       val next = ArrayBuffer.empty[QCTask]
       emitted.foreach {
         case EmitResult(vs) => results += vs
         case EmitTask(t)    => next += t
         case EmitStat(s)    => stats += s
+        case EmitTotals(t)  => totals += t
       }
-      tasks = next.toArray
       peakHeap = math.max(peakHeap, usedHeapMB())
+      next.toSeq
     }
+
+    var rounds = 0
+    var tasks  = absorb(initial(bc))
+    while (tasks.nonEmpty) {
+      rounds += 1
+      val placed = place(sc, tasks, conf.parallelism, conf.prioritizeBigTasks, conf.tauSplit)(_.ext.length, _.root)
+      tasks = absorb(runRound(placed, bc, gamma, tauSize, mode, conf))
+    }
+    bc.destroy()
 
     val wall1 = System.nanoTime
     // map results back to the original vertex ids, then post-process
@@ -237,33 +174,71 @@ object Engine {
 
     EngineResult(
       maximal, results.length.toLong, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
-      rounds, procAcc.value, spawnAcc.value,
-      mineAcc.value / 1e6, matAcc.value / 1e6, maxAcc.value / 1e6,
+      rounds, totals.tasks, totals.spawned,
+      totals.mineNs / 1e6, totals.matNs / 1e6, totals.maxTaskNs / 1e6,
       stats.toSeq, peakHeap)
   }
 
-  /** Place tasks on `p` workers for the next round. */
-  private def place(sc: SparkContext, tasks: Array[QCTask], p: Int, conf: EngineConfig): RDD[QCTask] = {
-    val buckets = Array.fill(p)(ArrayBuffer.empty[QCTask])
-    if (conf.prioritizeBigTasks) {
-      // redesigned engine: big tasks first, dealt round-robin (global queue
-      // + stealing); small tasks follow round-robin in arrival order.
-      val (big, small) = tasks.partition(_.extSize >= conf.tauSplit)
-      val ordered = big.sortBy(-_.extSize) ++ small
-      var i = 0
-      while (i < ordered.length) { buckets(i % p) += ordered(i); i += 1 }
-    } else {
-      // original engine: tasks stay with the worker that owns their spawning
-      // vertex, processed FIFO — no prioritization, no stealing.
-      var i = 0
-      while (i < tasks.length) { buckets(tasks(i).root % p) += tasks(i); i += 1 }
-    }
-    // key i lands exactly in partition i under HashPartitioner(p) for 0<=i<p
-    val keyed = buckets.zipWithIndex.flatMap { case (b, i) => b.map(t => (i, t)) }.toSeq
-    sc.parallelize(keyed, p)
-      .partitionBy(new org.apache.spark.HashPartitioner(p))
-      .values
+  /** One round, one Spark job: every partition materializes and mines its
+    * tasks, emitting results, subtasks, optional task stats and its totals.
+    */
+  private def runRound(placed: RDD[QCTask], bc: Broadcast[LocalGraph], gamma: Double,
+                       tauSize: Int, mode: Mode, conf: EngineConfig): Array[Emit] =
+    placed.mapPartitions { it =>
+      val graph = bc.value
+      val out = ArrayBuffer.empty[Emit]
+      var tot = Totals()
+      it.foreach { t =>
+        val m0 = System.nanoTime
+        val verts = new Array[Int](t.s.length + t.ext.length)
+        System.arraycopy(t.s, 0, verts, 0, t.s.length)
+        System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
+        val (sub, oldIds) = GraphOps.induced(graph, verts)
+        val matNs = System.nanoTime - m0
+        val feats = if (conf.recordTaskStats) GraphOps.features(sub) else null
+        var spawned = 0L
+        val t1 = System.nanoTime
+        val sink = (arr: Array[Int]) => {
+          out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
+        }
+        val spawnChild = (s: Array[Int], e: Array[Int]) => {
+          spawned += 1
+          out += EmitTask(QCTask(t.root, s.map(oldIds), e.map(oldIds))); ()
+        }
+        new Miner(sub, gamma, tauSize, sink).mine(
+          ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until verts.length),
+          mode.spawnRule(t.ext.length, conf.tauSplit, t1), spawnChild)
+        val dt = System.nanoTime - t1
+        tot += Totals(dt, matNs, 1L, spawned, dt)
+        if (feats != null)
+          out += EmitStat(TaskStat(t.root, feats.nV, feats.nE, feats.maxDeg, feats.avgDeg, feats.coreNum, dt))
+      }
+      out += EmitTotals(tot)
+      out.iterator
+    }.collect()
+
+  /** Deal `items` into `p` buckets. With `prioritizeBig` (the redesigned
+    * engine: global queue + stealing), items with size >= `bigFrom` come
+    * first, largest first, then the rest in arrival order, dealt
+    * round-robin. Otherwise (the original engine) each item stays with the
+    * worker that owns it, FIFO — no prioritization, no stealing.
+    */
+  private[gthinker] def buckets[T](items: Seq[T], p: Int, prioritizeBig: Boolean, bigFrom: Int)
+                (size: T => Int, owner: T => Int): Array[ArrayBuffer[T]] = {
+    val out = Array.fill(p)(ArrayBuffer.empty[T])
+    if (prioritizeBig) {
+      val (big, small) = items.partition(size(_) >= bigFrom)
+      (big.sortBy(-size(_)) ++ small).zipWithIndex.foreach { case (x, i) => out(i % p) += x }
+    } else items.foreach(x => out(owner(x) % p) += x)
+    out
   }
+
+  /** `buckets` as an RDD whose partition i holds bucket i, without a
+    * shuffle: one bucket per slice of `parallelize`.
+    */
+  def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, prioritizeBig: Boolean, bigFrom: Int)
+                        (size: T => Int, owner: T => Int): RDD[T] =
+    sc.parallelize(buckets(items, p, prioritizeBig, bigFrom)(size, owner).toSeq, p).flatMap(b => b)
 
   private def usedHeapMB(): Long = {
     val rt = Runtime.getRuntime

@@ -3,7 +3,7 @@ package repro.kernel
 import org.apache.spark.SparkContext
 import repro.core._
 import repro.graph.{GraphOps, LocalGraph}
-import repro.gthinker.{ABase, Engine, EngineConfig, Mode, QCTask}
+import repro.gthinker.{Engine, EngineConfig, Mode, QCTask}
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
@@ -49,6 +49,17 @@ object KernelExpand {
     arr
   }
 
+  /** The k-core of `g` for (γ, τ_size) with its ids in `g`, and the map of
+    * a kernel into core ids — None unless every kernel vertex survives (they
+    * always do: a kernel sits in a γ'-QC with γ' > γ).
+    */
+  private def kCore(g: LocalGraph, gamma: Double, tauSize: Int): (MiningGraph, Array[Int] => Option[Array[Int]]) = {
+    val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = false)
+    val toCore = Array.fill(g.n)(-1)
+    mg.ids.indices.foreach(i => toCore(mg.ids(i)) = i)
+    (mg, kernel => Some(kernel.map(toCore)).filter(_.forall(_ >= 0)))
+  }
+
   /** Serial [31] pipeline (Table 9). `gammaP` (γ') and `kPrime` (k') pick the
     * kernels; `gamma`/`k` shape the final answer; `tauSize` thresholds both
     * phases as in the paper's runs.
@@ -60,15 +71,10 @@ object KernelExpand {
     val kernels = QuickPlus.mineSerial(g, gammaP, tauSize).maximal
       .sortBy(-_.length).take(kPrime)
     // phase 2: expand each kernel under γ over the k-core-pruned graph
-    val kc = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, kc)
-    val toNew = new java.util.HashMap[Integer, Integer](gK.n * 2)
-    idsK.zipWithIndex.foreach { case (o, nw) => toNew.put(o, nw) }
+    val (MiningGraph(_, gK, idsK, _), toCore) = kCore(g, gamma, tauSize)
     val out = ArrayBuffer.empty[Array[Int]]
     for (kernel <- kernels) {
-      // kernel vertices always survive the k-core (they sit in a γ'-QC)
-      val sNew = kernel.flatMap(v => Option(toNew.get(v)).map(_.intValue()))
-      if (sNew.length == kernel.length) {
+      toCore(kernel).foreach { sNew =>
         val ext = candidatePool(gK, sNew)
         val verts = sNew ++ ext
         val (sub, oldIds) = GraphOps.induced(gK, verts)
@@ -125,19 +131,14 @@ object KernelExpand {
                      gamma: Double, tauSize: Int, mode: Mode,
                      conf: EngineConfig, k: Int): KernelOutcome = {
     val t0 = System.nanoTime
-    val kc = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, kc)
-    val toNew = new java.util.HashMap[Integer, Integer](gK.n * 2)
-    idsK.zipWithIndex.foreach { case (o, nw) => toNew.put(o, nw) }
+    val (MiningGraph(_, gK, idsK, _), toCore) = kCore(g, gamma, tauSize)
     val tasks = kernels.zipWithIndex.flatMap { case (kernel, i) =>
-      val sNew = kernel.flatMap(v => Option(toNew.get(v)).map(_.intValue()))
-      if (sNew.length == kernel.length) {
+      toCore(kernel).flatMap { sNew =>
         val ext = candidatePool(gK, sNew)
         if (ext.nonEmpty || sNew.length >= tauSize) Some(QCTask(i, sNew, ext)) else None
-      } else None
+      }
     }.toArray
-    val res = Engine.runFromTasks(sc, gK, idsK, tasks, gamma, tauSize, mode,
-      conf.copy(recode = false))
+    val res = Engine.runFromTasks(sc, gK, idsK, tasks, gamma, tauSize, mode, conf)
     val all = res.maximal ++ kernels.map(QuasiClique.canon)
     val maximal = Maximality.filterMaximal(all)
     val topK = maximal.sortBy(-_.length).take(k)

@@ -3,38 +3,8 @@ package repro
 import org.apache.spark.sql.functions._
 import repro.graph.{GraphGen, GraphOps}
 
-/** Relational generators + graph edge tables, cross-checked with DuckDB. */
+/** Graph edge tables and their statistics, cross-checked with DuckDB. */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem row count scales with sf and is deterministic") {
-    val a = SynthData.lineitem(spark, sf = 0.001)
-    assert(a.count() == 6000)
-    val b = SynthData.lineitem(spark, sf = 0.001)
-    assert(a.agg(sum("l_orderkey")).head.getLong(0) == b.agg(sum("l_orderkey")).head.getLong(0))
-  }
-
-  test("orders/customer/part have exact range-based counts") {
-    assert(SynthData.orders(spark, 0.001).count() == 1500)
-    assert(SynthData.customer(spark, 0.001).count() == 150)
-    assert(SynthData.part(spark, 0.001).count() == 200)
-  }
-
-  test("lineitem aggregate is oracle-equivalent to DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.0005).cache()
-    val df = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", sum("l_quantity") as "qty")
-    Oracle.assertEquivalent(df,
-      "SELECT l_returnflag, count(*) AS cnt, sum(CAST(l_quantity AS DOUBLE)) AS qty " +
-        "FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
-    li.unpersist()
-  }
-
-  test("zipf keys are skewed toward small ranks") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000, alpha = 1.2).groupBy("k").count()
-    val top = z.orderBy(desc("count")).head
-    assert(top.getLong(0) <= 3, "most frequent key should be a small rank")
-  }
 
   test("graphEdges matches LocalGraph edge count and orientation") {
     val g = GraphGen.erdosRenyi(30, 0.3, 5)

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphGen, LocalGraph}
+import repro.gthinker.{ASplit, ATime}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -65,17 +66,26 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // --------------------------------- decomposition preserves completeness
 
-  for (seed <- 1 to 6) test(s"decomposeOneLevel + child recursion == recursiveMine (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(14, 0.55, seed * 11)
-    val gamma = 0.7; val tau = 4
+  /** The engine's two spawning policies for a task over a whole graph of n
+    * vertices: A_split at the root, and A_time already past its timeout.
+    */
+  private def spawnRules(n: Int): Seq[(String, Int => Boolean)] = Seq(
+    "A_split" -> ASplit.spawnRule(n, tauSplit = 0, System.nanoTime),
+    "A_time"  -> ATime(0.0).spawnRule(n, tauSplit = 0, System.nanoTime - 1000000000L))
 
+  /** Runs the single traversal with `rule` deciding where to spawn, completes
+    * every spawned child with the plain recursive miner, and checks that the
+    * maximal results equal those of `recursiveMine` over the whole graph.
+    */
+  private def assertSpawningComplete(g: LocalGraph, gamma: Double, policy: String,
+                                     rule: Int => Boolean): Unit = {
+    val tau = 4
     val full = ArrayBuffer.empty[Array[Int]]
     newMiner(g, gamma, tau, full).recursiveMine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n))
 
     val split = ArrayBuffer.empty[Array[Int]]
     val pending = ArrayBuffer.empty[(Array[Int], Array[Int])]
-    newMiner(g, gamma, tau, split).decomposeOneLevel(
-      ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n),
+    newMiner(g, gamma, tau, split).mine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n), rule,
       (s, e) => { pending += ((s, e)); () })
     // children are completed with the plain recursive miner
     while (pending.nonEmpty) {
@@ -85,31 +95,51 @@ class MinerInternalsSpec extends AnyFunSuite {
 
     val fullMax  = Maximality.filterMaximal(full.toSeq).map(_.toVector).toSet
     val splitMax = Maximality.filterMaximal(split.toSeq).map(_.toVector).toSet
-    assert(fullMax == splitMax, s"missing=${(fullMax -- splitMax).take(3)} extra=${(splitMax -- fullMax).take(3)}")
+    assert(fullMax == splitMax, s"$policy gamma=$gamma missing=${(fullMax -- splitMax).take(3)} extra=${(splitMax -- fullMax).take(3)}")
   }
 
+  // A_split at the task root (the one-level decomposition)
+  for (seed <- 1 to 6) test(s"decomposeOneLevel + child recursion == recursiveMine (seed=$seed)") {
+    val g = GraphGen.erdosRenyi(14, 0.55, seed * 11)
+    for ((policy, rule) <- spawnRules(g.n)) assertSpawningComplete(g, 0.7, policy, rule)
+  }
+
+  // A_time with an immediate timeout: every surviving branch is spawned
   for (seed <- 1 to 6) test(s"timeDelayed with immediate timeout + child recursion == recursiveMine (seed=$seed)") {
     val g = GraphGen.erdosRenyi(14, 0.55, seed * 19)
-    val gamma = 0.75; val tau = 4
+    for ((policy, rule) <- spawnRules(g.n)) assertSpawningComplete(g, 0.75, policy, rule)
+  }
 
-    val full = ArrayBuffer.empty[Array[Int]]
-    newMiner(g, gamma, tau, full).recursiveMine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n))
+  test("A_split spawns nothing when |ext| <= tau_split and nothing below depth 0") {
+    val small = ASplit.spawnRule(extSize = 10, tauSplit = 10, 0L)
+    val big   = ASplit.spawnRule(extSize = 11, tauSplit = 10, 0L)
+    assert((0 to 5).forall(d => !small(d)))
+    assert(big(0) && (1 to 5).forall(d => !big(d)))
 
-    val timed = ArrayBuffer.empty[Array[Int]]
-    val pending = ArrayBuffer.empty[(Array[Int], Array[Int])]
-    // start already timed out: every surviving branch is wrapped
-    newMiner(g, gamma, tau, timed).timeDelayed(
-      ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n),
-      startNanos = System.nanoTime - 1000000000L, tauTimeNanos = 0L,
-      (s, e) => { pending += ((s, e)); () })
-    while (pending.nonEmpty) {
-      val (s, e) = pending.remove(pending.length - 1)
-      newMiner(g, gamma, tau, timed).recursiveMine(ArrayBuffer.from(s), ArrayBuffer.from(e))
+    val g = GraphGen.erdosRenyi(14, 0.55, 11)
+    def run(rule: Int => Boolean): (Seq[Int], Int) = {
+      val asked = ArrayBuffer.empty[Int]
+      var spawned = 0
+      newMiner(g, 0.7, 4).mine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n),
+        d => { asked += d; rule(d) }, (_, _) => spawned += 1)
+      (asked.toSeq, spawned)
     }
+    val (askedSmall, spawnedSmall) = run(ASplit.spawnRule(g.n, tauSplit = g.n, 0L))
+    assert(spawnedSmall == 0)
+    assert(askedSmall.exists(_ > 0), "the search must recurse below the root")
+    val (askedBig, spawnedBig) = run(ASplit.spawnRule(g.n, tauSplit = g.n - 1, 0L))
+    assert(spawnedBig > 0)
+    assert(askedBig.forall(_ == 0) && askedBig.length == spawnedBig)
+  }
 
-    val fullMax  = Maximality.filterMaximal(full.toSeq).map(_.toVector).toSet
-    val timedMax = Maximality.filterMaximal(timed.toSeq).map(_.toVector).toSet
-    assert(fullMax == timedMax)
+  test("a spawning search past its deadline throws DeadlineExceeded") {
+    val g = GraphGen.erdosRenyi(14, 0.55, 11)
+    for ((policy, rule) <- spawnRules(g.n)) {
+      val miner = new Miner(g, 0.7, 4, _ => (), MinerConfig.quickPlus, null, System.nanoTime - 1)
+      intercept[Miner.DeadlineExceeded] {
+        miner.mine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n), rule, (_, _) => ())
+      }
+    }
   }
 
   // ---------------------------------------------------- iterativeBounding

@@ -1,5 +1,7 @@
 package repro.gthinker
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import repro.SparkSpec
 import repro.core.{QuickPlus, BruteForce}
 import repro.graph.GraphGen
@@ -16,9 +18,9 @@ class EngineSpec extends SparkSpec {
     canonSet(QuickPlus.mineSerial(g, gamma, tau).maximal)
 
   for {
-    (mode, label) <- Seq[(Mode, String)](
-      (ABase, "A_base"), (ASplit(8), "A_split(8)"), (ASplit(2), "A_split(2)"),
-      (ATime(0.0), "A_time(0ms)"), (ATime(50.0), "A_time(50ms)"))
+    (mode, label, tauSplit) <- Seq[(Mode, String, Int)](
+      (ABase, "A_base", 8), (ASplit, "A_split(8)", 8), (ASplit, "A_split(2)", 2),
+      (ATime(0.0), "A_time(0ms)", 8), (ATime(50.0), "A_time(50ms)", 8))
     prioritize <- Seq(true, false)
     par        <- Seq(1, 4)
   } test(s"engine == serial Quick+ [$label, prioritize=$prioritize, p=$par]") {
@@ -26,7 +28,7 @@ class EngineSpec extends SparkSpec {
       val g = GraphGen.erdosRenyi(40, 0.30, seed)
       val truth = serialTruth(g, 0.7, 5)
       val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode,
-        EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 8))
+        EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = tauSplit))
       assert(canonSet(res.maximal) == truth,
         s"seed=$seed missing=${(truth -- canonSet(res.maximal)).take(3)} extra=${(canonSet(res.maximal) -- truth).take(3)}")
     }
@@ -35,7 +37,7 @@ class EngineSpec extends SparkSpec {
   test("engine matches brute force on a tiny graph") {
     val g = GraphGen.erdosRenyi(12, 0.6, 5)
     val truth = canonSet(BruteForce.allMaximal(g, 0.75, 4))
-    for (mode <- Seq[Mode](ABase, ASplit(3), ATime(0.0))) {
+    for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0))) {
       val res = Engine.run(spark.sparkContext, g, 0.75, 4, mode, EngineConfig(parallelism = 2, tauSplit = 3))
       assert(canonSet(res.maximal) == truth, s"mode=$mode")
     }
@@ -43,7 +45,7 @@ class EngineSpec extends SparkSpec {
 
   test("A_split and A_time actually decompose tasks (subtasks spawned)") {
     val g = GraphGen.erdosRenyi(50, 0.4, 3)
-    val split = Engine.run(spark.sparkContext, g, 0.6, 5, ASplit(5), EngineConfig(2, tauSplit = 5))
+    val split = Engine.run(spark.sparkContext, g, 0.6, 5, ASplit, EngineConfig(2, tauSplit = 5))
     assert(split.subtasksSpawned > 0, "A_split with tiny tau_split must decompose")
     assert(split.rounds > 1)
     val time = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2, tauSplit = 5))
@@ -80,5 +82,38 @@ class EngineSpec extends SparkSpec {
     val g = GraphGen.erdosRenyi(30, 0.05, 1) // sparse: 5-core empty
     val res = Engine.run(spark.sparkContext, g, 0.9, 8, ABase, EngineConfig(2))
     assert(res.maximal.isEmpty)
+  }
+
+  test("tasks processed minus subtasks spawned under A_time(0) equals A_base's tasks processed") {
+    val g = GraphGen.erdosRenyi(50, 0.4, 3)
+    val base = Engine.run(spark.sparkContext, g, 0.6, 5, ABase, EngineConfig(2))
+    val time = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2))
+    assert(time.subtasksSpawned > 0)
+    assert(time.tasksProcessed - time.subtasksSpawned == base.tasksProcessed)
+  }
+
+  test("bad parameters are rejected up front") {
+    val g = GraphGen.erdosRenyi(20, 0.3, 1)
+    intercept[IllegalArgumentException](EngineConfig(parallelism = 0))
+    intercept[IllegalArgumentException](Engine.run(spark.sparkContext, g, 0.7, 0, ABase, EngineConfig(2)))
+    intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.7, 0))
+  }
+
+  test("placement puts bucket i in partition i without a shuffle") {
+    // roots 0..4, |ext| 0..8: some tasks are big (|ext| >= 5), some small
+    val tasks = (0 until 23).map(i => QCTask(i * 7 % 5, Array(i), Array.fill(i % 9)(0)))
+    def hasShuffle(r: RDD[_]): Boolean =
+      r.dependencies.exists(d => d.isInstanceOf[ShuffleDependency[_, _, _]] || hasShuffle(d.rdd))
+    for (prioritize <- Seq(true, false)) {
+      val buckets = Engine.buckets(tasks, 4, prioritize, bigFrom = 5)(_.ext.length, _.root)
+      val rdd = Engine.place(spark.sparkContext, tasks, 4, prioritize, bigFrom = 5)(_.ext.length, _.root)
+      val got = rdd.mapPartitionsWithIndex((i, it) => it.map(t => (i, t.s(0)))).collect()
+      assert(rdd.getNumPartitions == 4)
+      for (i <- 0 until 4)
+        assert(got.filter(_._1 == i).map(_._2).toSeq == buckets(i).map(_.s(0)).toSeq, s"prioritize=$prioritize bucket $i")
+      assert(!hasShuffle(rdd), s"prioritize=$prioritize")
+      if (prioritize) assert(buckets(0).head.ext.length == tasks.map(_.ext.length).max)
+      else buckets.zipWithIndex.foreach { case (b, i) => assert(b.forall(_.root % 4 == i)) }
+    }
   }
 }

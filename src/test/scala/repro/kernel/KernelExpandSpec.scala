@@ -65,7 +65,7 @@ class KernelExpandSpec extends SparkSpec {
     val g = twoRegions
     val kernels = KernelExpand.topKCliqueKernels(g, 2, coreK = 3)
     val eng = KernelExpand.expandOnEngine(spark.sparkContext, g, kernels, 0.8, 4,
-      ASplit(4), EngineConfig(2, tauSplit = 4), k = 10)
+      ASplit, EngineConfig(2, tauSplit = 4), k = 10)
     val truth = canonSet(BruteForce.allMaximal(g, 0.8, 4))
     eng.topK.foreach(s => assert(truth.contains(s.toVector), s.toVector))
     // with kernels in both regions the engine finds the big sets of both
