@@ -30,11 +30,27 @@ object Bounds {
       dMinS: Int,
       dSExtDesc: Array[Int],
       gamma: Double,
-      quickCompat: Boolean): Verdict = {
+      quickCompat: Boolean): Verdict =
+    compute(sSize, sumDS, dMinTotal, dMinS, dSExtDesc, dSExtDesc.length, gamma, quickCompat,
+      new Array[Int](dSExtDesc.length + 1))
+
+  /** As above over the first `nExt` values of `dSExtDesc`; `prefix` (at
+    * least nExt + 1 slots) is scratch, so the miner's hot path allocates
+    * nothing here.
+    */
+  def compute(
+      sSize: Int,
+      sumDS: Int,
+      dMinTotal: Int,
+      dMinS: Int,
+      dSExtDesc: Array[Int],
+      nExt: Int,
+      gamma: Double,
+      quickCompat: Boolean,
+      prefix: Array[Int]): Verdict = {
     require(sSize > 0, "bounds need a non-empty S")
-    val nExt = dSExtDesc.length
     // prefix sums of the top-t d_S(u) values (Lemma 2)
-    val prefix = new Array[Int](nExt + 1)
+    prefix(0) = 0
     var i = 0
     while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
 

@@ -24,6 +24,16 @@ object Miner {
 
   /** The spawn rule of plain recursion (A_base): no child becomes a task. */
   val NeverSpawn: Int => Boolean = _ => false
+
+  /** One search node's S and ext: the first `sLen` / `extLen` slots of
+    * arrays sized to the task graph, reused by every node at one depth.
+    */
+  private final class Frame(n: Int) {
+    val s   = new Array[Int](n)
+    val ext = new Array[Int](n)
+    var sLen   = 0
+    var extLen = 0
+  }
 }
 
 object MinerConfig {
@@ -49,8 +59,13 @@ final class PhaseTimers extends Serializable {
   * search (`mine`) that is Algorithm 3 (`recursiveMine`), Algorithm 8's
   * decomposition and Algorithm 10's timeout decomposition at once: they
   * differ only in whether a child that survives bounding is recursed into
-  * or spawned as a new task. The instance is single-threaded:
-  * membership/degree scratch arrays are reused via stamps.
+  * or spawned as a new task. The instance is single-threaded.
+  *
+  * The adjacency is held as bitset rows (n²/8 bytes), so degrees into S and
+  * ext, the validity checks, the cover set (P7) and the diameter shrink (P1)
+  * are word-parallel ANDs, ORs and popcounts. S and ext of each search depth
+  * live in primitive arrays reused across siblings, so the search itself
+  * allocates only what it emits or spawns.
   *
   * Every candidate result is emitted through `sink` (vertex ids of `g`,
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
@@ -68,75 +83,191 @@ final class Miner(
     deadlineNanos: Long = Long.MaxValue) {
 
   require(gamma >= 0.5 && gamma <= 1.0, s"miner assumes diameter-2 pruning, needs gamma in [0.5,1], got $gamma")
+  // orderExt packs (d_S, d_ext, position) into one Long, 21 bits each
+  require(g.n < (1 << 21), s"task graph too large for the miner: ${g.n} vertices")
   import QuasiClique.ceilGamma
+  import java.lang.Long.{bitCount, numberOfTrailingZeros}
 
   private val plus = config.isQuickPlus
 
   private val n = g.n
-  // stamped membership + degree scratch (valid while `stamp` is unchanged)
-  private val sMark   = new Array[Int](n)
-  private val eMark   = new Array[Int](n)
-  private val nbrMark = new Array[Int](n)
-  private val dS      = new Array[Int](n)
-  private val dExt    = new Array[Int](n)
-  private var stamp    = 0
-  private var nbrStamp = 0
+  // adjacency bitsets: the neighbours of v are the set bits of
+  // rows(v * words until (v + 1) * words)
+  private val words = (n + 63) >>> 6
+  private val rows  = new Array[Long](n * words)
+  locally {
+    var v = 0
+    while (v < n) {
+      val a = g.adj(v); val base = v * words; var j = 0
+      while (j < a.length) { val w = a(j); rows(base + (w >>> 6)) |= 1L << w; j += 1 }
+      v += 1
+    }
+  }
 
-  private def inS(v: Int): Boolean   = sMark(v) == stamp
-  private def inExt(v: Int): Boolean = eMark(v) == stamp
+  // S and ext of the last computeDegrees; eBits is kept exact while
+  // iterativeBounding moves or prunes ext vertices in place
+  private val sBits = new Array[Long](words)
+  private val eBits = new Array[Long](words)
+  private val dS    = new Array[Int](n)
+  private val dExt  = new Array[Int](n)
+  // scratch bitsets: a vertex set under test, BFS state, the 2-hop reach
+  // of a vertex, a cover-set candidate and the best cover set
+  private val qBits = new Array[Long](words)
+  private val seen  = new Array[Long](words)
+  private val front = new Array[Long](words)
+  private val next  = new Array[Long](words)
+  private val reach = new Array[Long](words)
+  private val cand  = new Array[Long](words)
+  private val cover = new Array[Long](words)
+  // scratch for bounds (d_S over ext, prefix sums) and for ordering ext
+  private val dsExt   = new Array[Int](n)
+  private val dsCount = new Array[Int](n + 1)
+  private val prefix  = new Array[Int](n + 1)
+  private val keys    = new Array[Long](n)
+  private val extCopy = new Array[Int](n)
+  private val frames  = ArrayBuffer.empty[Miner.Frame]
 
-  /** Recompute membership stamps and the four degree kinds (T2). */
-  private def computeDegrees(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Unit = {
-    stamp += 1
-    var i = 0
-    while (i < s.length) { sMark(s(i)) = stamp; i += 1 }
-    i = 0
-    while (i < ext.length) { eMark(ext(i)) = stamp; i += 1 }
+  private def frame(depth: Int): Miner.Frame = {
+    while (frames.length <= depth) frames += new Miner.Frame(n)
+    frames(depth)
+  }
+
+  @inline private def has(bits: Array[Long], v: Int): Boolean = (bits(v >>> 6) & (1L << v)) != 0
+  @inline private def adjacent(u: Int, v: Int): Boolean = (rows(u * words + (v >>> 6)) & (1L << v)) != 0
+
+  private def clear(bits: Array[Long]): Unit = { var k = 0; while (k < words) { bits(k) = 0L; k += 1 } }
+
+  /** `bits` := the vertices in a(from until to). */
+  private def setBits(bits: Array[Long], a: Array[Int], from: Int, to: Int): Unit = {
+    clear(bits)
+    var i = from
+    while (i < to) { val v = a(i); bits(v >>> 6) |= 1L << v; i += 1 }
+  }
+
+  /** The m set bits of `bits`, ascending. */
+  private def members(bits: Array[Long], m: Int): Array[Int] = {
+    val out = new Array[Int](m)
+    var i = 0; var k = 0
+    while (k < words) {
+      var w = bits(k)
+      while (w != 0) { out(i) = (k << 6) | numberOfTrailingZeros(w); i += 1; w &= w - 1 }
+      k += 1
+    }
+    out
+  }
+
+  /** Recompute membership bits and the degrees into S and ext (T2). */
+  private def computeDegrees(f: Miner.Frame): Unit = {
+    setBits(sBits, f.s, 0, f.sLen)
+    setBits(eBits, f.ext, 0, f.extLen)
     def fill(x: Int): Unit = {
-      val a = g.adj(x); var ds = 0; var de = 0; var j = 0
-      while (j < a.length) {
-        val w = a(j)
-        if (inS(w)) ds += 1 else if (inExt(w)) de += 1
-        j += 1
+      val base = x * words; var ds = 0; var de = 0; var k = 0
+      while (k < words) {
+        val r = rows(base + k)
+        ds += bitCount(r & sBits(k)); de += bitCount(r & eBits(k))
+        k += 1
       }
       dS(x) = ds; dExt(x) = de
     }
+    var i = 0
+    while (i < f.sLen) { fill(f.s(i)); i += 1 }
     i = 0
-    while (i < s.length) { fill(s(i)); i += 1 }
-    i = 0
-    while (i < ext.length) { fill(ext(i)); i += 1 }
+    while (i < f.extLen) { fill(f.ext(i)); i += 1 }
+  }
+
+  /** Definition 1 for the m vertices in `qBits`: popcount degrees, then
+    * connectivity by a BFS whose frontier grows by OR-ing rows. The BFS is
+    * kept although γ >= 0.5 implies connectivity.
+    */
+  private def qBitsValid(m: Int): Boolean = {
+    if (m == 0) return false
+    if (m == 1) return true
+    val need = ceilGamma(gamma, m - 1)
+    var first = -1
+    var k = 0
+    while (k < words) {
+      var w = qBits(k)
+      while (w != 0) {
+        val v = (k << 6) | numberOfTrailingZeros(w)
+        if (first < 0) first = v
+        val base = v * words; var d = 0; var j = 0
+        while (j < words) { d += bitCount(rows(base + j) & qBits(j)); j += 1 }
+        if (d < need) return false
+        w &= w - 1
+      }
+      k += 1
+    }
+    clear(seen); clear(front)
+    seen(first >>> 6) = 1L << first; front(first >>> 6) = 1L << first
+    var reached = 1
+    var grew = true
+    while (grew) {
+      clear(next)
+      k = 0
+      while (k < words) {
+        var w = front(k)
+        while (w != 0) {
+          val base = ((k << 6) | numberOfTrailingZeros(w)) * words; var j = 0
+          while (j < words) { next(j) |= rows(base + j); j += 1 }
+          w &= w - 1
+        }
+        k += 1
+      }
+      grew = false
+      k = 0
+      while (k < words) {
+        val nw = next(k) & qBits(k) & ~seen(k)
+        front(k) = nw; seen(k) |= nw
+        if (nw != 0) { reached += bitCount(nw); grew = true }
+        k += 1
+      }
+    }
+    reached == m
   }
 
   /** Emit S if it is a large-enough γ-quasi-clique; returns true if emitted. */
-  private def checkOutput(s: ArrayBuffer[Int]): Boolean = {
-    if (s.length >= tauSize) {
-      val arr = s.toArray
-      if (QuasiClique.isQuasiClique(g, arr, gamma)) { sink(QuasiClique.canon(arr)); return true }
-    }
-    false
+  private def checkOutput(s: Array[Int], sLen: Int): Boolean = {
+    if (sLen < tauSize) return false
+    setBits(qBits, s, 0, sLen)
+    if (!qBitsValid(sLen)) return false
+    sink(members(qBits, sLen))
+    true
   }
 
-  private def boundsOf(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Bounds.Verdict = {
+  private def boundsOf(f: Miner.Frame): Bounds.Verdict = {
     val t0 = if (timers ne null) System.nanoTime else 0L
     var sumDS = 0; var dMinTotal = Int.MaxValue; var dMinS = Int.MaxValue
     var i = 0
-    while (i < s.length) {
-      val v = s(i)
+    while (i < f.sLen) {
+      val v = f.s(i)
       sumDS += dS(v)
       if (dS(v) + dExt(v) < dMinTotal) dMinTotal = dS(v) + dExt(v)
       if (dS(v) < dMinS) dMinS = dS(v)
       i += 1
     }
-    val dsExt = new Array[Int](ext.length)
+    // d_S over ext, non-increasing, by counting sort (d_S(u) <= |S|)
+    val nExt = f.extLen
+    java.util.Arrays.fill(dsCount, 0, f.sLen + 1, 0)
     i = 0
-    while (i < ext.length) { dsExt(i) = dS(ext(i)); i += 1 }
-    java.util.Arrays.sort(dsExt)
-    // reverse to non-increasing
-    var lo = 0; var hi = dsExt.length - 1
-    while (lo < hi) { val t = dsExt(lo); dsExt(lo) = dsExt(hi); dsExt(hi) = t; lo += 1; hi -= 1 }
-    val v = Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat = !plus)
+    while (i < nExt) { dsCount(dS(f.ext(i))) += 1; i += 1 }
+    var d = f.sLen; i = 0
+    while (d >= 0) {
+      var c = dsCount(d)
+      while (c > 0) { dsExt(i) = d; i += 1; c -= 1 }
+      d -= 1
+    }
+    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, dsExt, nExt, gamma, quickCompat = !plus, prefix)
     if (timers ne null) timers.boundNs += System.nanoTime - t0
     v
+  }
+
+  /** f.ext(0 until f.extLen) reduced to the vertices still set in eBits,
+    * order kept.
+    */
+  private def keepMarkedExt(f: Miner.Frame): Unit = {
+    var w = 0; var i = 0
+    while (i < f.extLen) { val u = f.ext(i); if (has(eBits, u)) { f.ext(w) = u; w += 1 }; i += 1 }
+    f.extLen = w
   }
 
   // ------------------------------------------------------- Algorithm 2
@@ -146,13 +277,14 @@ final class Miner(
     * moves grow S, Type-I pruning shrinks ext). Any mandated examination of
     * G(S) happens internally. S must be non-empty.
     */
-  def iterativeBounding(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Boolean = {
+  private def iterativeBounding(f: Miner.Frame): Boolean = {
+    val s = f.s
     var looping = true
-    while (looping && ext.nonEmpty) {
-      computeDegrees(s, ext)
-      boundsOf(s, ext) match {
+    while (looping && f.extLen > 0) {
+      computeDegrees(f)
+      boundsOf(f) match {
         case Bounds.PruneExtensions =>
-          if (plus) checkOutput(s)
+          if (plus) checkOutput(s, f.sLen)
           return true
         case Bounds.PruneAll => return true
         case Bounds.Ok(us0, ls0) =>
@@ -160,36 +292,40 @@ final class Miner(
           var us = us0; var ls = ls0
           // ---- critical-vertex pruning (P6), looped until none remain ----
           var critDone = false
-          while (!critDone && ext.nonEmpty) {
+          while (!critDone && f.extLen > 0) {
             val t0 = if (timers ne null) System.nanoTime else 0L
-            val need = ceilGamma(gamma, s.length + ls - 1)
-            val moved = ArrayBuffer.empty[Int]
+            val sLen = f.sLen
+            val need = ceilGamma(gamma, sLen + ls - 1)
+            // N_ext(v) of each critical v (Quick: of the first one only) is
+            // appended to S in id order and unmarked in eBits, so a vertex
+            // moves once
+            var end = sLen
             var i = 0
-            val limitOne = !plus
-            while (i < s.length && !(limitOne && moved.nonEmpty)) {
+            while (i < sLen && (plus || end == sLen)) {
               val v = s(i)
               if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
-                val a = g.adj(v); var j = 0
-                while (j < a.length) {
-                  val w = a(j)
-                  if (inExt(w)) { moved += w; eMark(w) = stamp - 1 } // unmark to dedup
-                  j += 1
+                val base = v * words; var k = 0
+                while (k < words) {
+                  var w = rows(base + k) & eBits(k)
+                  eBits(k) &= ~w
+                  while (w != 0) { s(end) = (k << 6) | numberOfTrailingZeros(w); end += 1; w &= w - 1 }
+                  k += 1
                 }
               }
               i += 1
             }
             if (timers ne null) timers.criticalNs += System.nanoTime - t0
-            if (moved.isEmpty) critDone = true
+            if (end == sLen) critDone = true
             else {
               // the paper examines G(S) before expanding it (missed by Quick)
-              if (plus) checkOutput(s)
-              s ++= moved
-              ext.filterInPlace(u => !moved.contains(u))
-              if (ext.nonEmpty) {
-                computeDegrees(s, ext)
-                boundsOf(s, ext) match {
+              if (plus) checkOutput(s, sLen)
+              f.sLen = end
+              keepMarkedExt(f)
+              if (f.extLen > 0) {
+                computeDegrees(f)
+                boundsOf(f) match {
                   case Bounds.PruneExtensions =>
-                    if (plus) checkOutput(s)
+                    if (plus) checkOutput(s, f.sLen)
                     return true
                   case Bounds.PruneAll => return true
                   case Bounds.Ok(u2, l2) =>
@@ -199,13 +335,13 @@ final class Miner(
               }
             }
           }
-          if (ext.isEmpty) { looping = false }
+          if (f.extLen == 0) { looping = false }
           else {
             // ---- Type-II pruning (Theorems 4, 6, 8) ----
             var thm4i = false
-            val sLen = s.length
+            val sLen = f.sLen
             var i = 0
-            while (i < s.length) {
+            while (i < sLen) {
               val v = s(i); val ds = dS(v); val de = dExt(v)
               if (ds + de < ceilGamma(gamma, sLen - 1 + de)) return true   // Thm 4 (ii)
               if (ds + us < ceilGamma(gamma, sLen + us - 1)) return true   // Thm 6
@@ -215,122 +351,165 @@ final class Miner(
             }
             if (thm4i) {
               // extensions pruned but G(S) itself survives (Quick prunes it)
-              if (plus) checkOutput(s)
+              if (plus) checkOutput(s, sLen)
               return true
             }
             // ---- Type-I pruning (Theorems 3, 5, 7) ----
-            val before = ext.length
-            ext.filterInPlace { u =>
-              val ds = dS(u); val de = dExt(u)
+            val before = f.extLen
+            i = 0
+            while (i < before) {
+              val u = f.ext(i); val ds = dS(u); val de = dExt(u)
               val pruned =
                 ds + de < ceilGamma(gamma, sLen + de) ||          // Thm 3
                 ds + us - 1 < ceilGamma(gamma, sLen + us - 1) ||  // Thm 5
                 ds + de < ceilGamma(gamma, sLen + ls - 1)         // Thm 7
-              if (pruned) eMark(u) = stamp - 1                    // keep marks exact
-              !pruned
+              if (pruned) eBits(u >>> 6) &= ~(1L << u)
+              i += 1
             }
-            if (ext.length == before) looping = false // fixpoint (case C2)
+            keepMarkedExt(f)
+            if (f.extLen == before) looping = false // fixpoint (case C2)
           }
       }
     }
-    if (ext.isEmpty) { checkOutput(s); true } else false
+    if (f.extLen == 0) { checkOutput(s, f.sLen); true } else false
+  }
+
+  /** Copies S and ext into the scratch frame at `depth`. */
+  private def load(depth: Int, s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Miner.Frame = {
+    val f = frame(depth)
+    s.copyToArray(f.s); f.sLen = s.length
+    ext.copyToArray(f.ext); f.extLen = ext.length
+    f
+  }
+
+  /** Test hook: `iterativeBounding` on buffers, written back in place. */
+  private[core] def iterativeBounding(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Boolean = {
+    val f = load(0, s, ext)
+    val pruned = iterativeBounding(f)
+    s.clear(); s ++= f.s.iterator.take(f.sLen)
+    ext.clear(); ext ++= f.ext.iterator.take(f.extLen)
+    pruned
   }
 
   // ------------------------------------------------- cover vertex (P7)
 
-  /** C_S(u) of the best cover vertex u in ext (Eq 9), or null if the rule is
-    * inapplicable for every u. Requires fresh membership/degrees for (s,ext).
+  /** Puts C_S(u) of the best cover vertex u in ext (Eq 9) into `cover` and
+    * returns its size, or 0 if the rule is inapplicable for every u; ties
+    * go to the first u in ext order. Requires fresh degrees for f.
     */
-  private[core] def findCoverSet(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Array[Int] = {
+  private def findCoverSet(f: Miner.Frame): Int = {
     val t0 = if (timers ne null) System.nanoTime else 0L
-    val cg = ceilGamma(gamma, s.length)
-    var best: Array[Int] = null
+    val s = f.s; val sLen = f.sLen
+    val cg = ceilGamma(gamma, sLen)
     var bestLen = 0
     var i = 0
-    while (i < ext.length) {
-      val u = ext(i)
+    while (i < f.extLen) {
+      val u = f.ext(i)
       if (dS(u) >= cg) {
-        // collect v in S not adjacent to u; all must have d_S(v) >= ⌈γ|S|⌉
-        nbrStamp += 1
-        val au = g.adj(u); var j = 0
-        while (j < au.length) { nbrMark(au(j)) = nbrStamp; j += 1 }
+        // every v in S not adjacent to u must have d_S(v) >= ⌈γ|S|⌉
         var ok = true
-        val nonNbrs = ArrayBuffer.empty[Int]
-        j = 0
-        while (ok && j < s.length) {
-          val v = s(j)
-          if (nbrMark(v) != nbrStamp) { if (dS(v) >= cg) nonNbrs += v else ok = false }
-          j += 1
-        }
+        var j = 0
+        while (ok && j < sLen) { val v = s(j); if (!adjacent(u, v) && dS(v) < cg) ok = false; j += 1 }
         if (ok) {
-          var c = au.filter(inExt) // N_ext(u); early-skip if already too small
-          if (c.length > bestLen) {
-            var k = 0
-            while (k < nonNbrs.length && c.length > bestLen) {
-              val v = nonNbrs(k)
-              nbrStamp += 1
-              val av = g.adj(v); var l = 0
-              while (l < av.length) { nbrMark(av(l)) = nbrStamp; l += 1 }
-              c = c.filter(w => nbrMark(w) == nbrStamp)
-              k += 1
+          // N_ext(u) ∩ ⋂ N(v) over v in S \ N(u); stop once it is too small
+          val ub = u * words
+          var c = 0; var k = 0
+          while (k < words) { cand(k) = rows(ub + k) & eBits(k); c += bitCount(cand(k)); k += 1 }
+          j = 0
+          while (c > bestLen && j < sLen) {
+            val v = s(j)
+            if (!adjacent(u, v)) {
+              val vb = v * words
+              c = 0; k = 0
+              while (k < words) { cand(k) &= rows(vb + k); c += bitCount(cand(k)); k += 1 }
             }
-            if (c.length > bestLen) { best = c; bestLen = c.length }
+            j += 1
           }
+          if (c > bestLen) { System.arraycopy(cand, 0, cover, 0, words); bestLen = c }
         }
       }
       i += 1
     }
     if (timers ne null) timers.coverNs += System.nanoTime - t0
-    best
+    bestLen
   }
 
-  /** Test hook: cover set with fresh degree state. */
+  /** Test hook: cover set with fresh degree state (null when inapplicable). */
   private[core] def coverSetFor(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Array[Int] = {
-    computeDegrees(s, ext)
-    findCoverSet(s, ext)
+    val f = load(0, s, ext)
+    computeDegrees(f)
+    val c = findCoverSet(f)
+    if (c == 0) null else members(cover, c)
   }
 
-  /** ext sorted ascending by (d_S, d_ext) — Section 6.2's lookahead-friendly
-    * order — with the cover set moved to the tail. Returns (ordered ext,
-    * number of head vertices to examine).
+  /** Reorders f.ext ascending by (d_S, d_ext), stably — Section 6.2's
+    * lookahead-friendly order — with the cover set moved to the tail.
+    * Returns the number of head vertices to examine.
     */
-  private def orderExt(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): (ArrayBuffer[Int], Int) = {
-    computeDegrees(s, ext)
-    val sorted = ext.sortBy(u => (dS(u), dExt(u)))
-    val cover  = findCoverSet(s, sorted)
-    if (cover == null || cover.isEmpty) (sorted, sorted.length)
+  private def orderExt(f: Miner.Frame): Int = {
+    computeDegrees(f)
+    val ext = f.ext; val len = f.extLen
+    var i = 0
+    while (i < len) {
+      val u = ext(i)
+      keys(i) = (dS(u).toLong << 42) | (dExt(u).toLong << 21) | i
+      extCopy(i) = u
+      i += 1
+    }
+    java.util.Arrays.sort(keys, 0, len)
+    i = 0
+    while (i < len) { ext(i) = extCopy((keys(i) & 0x1fffff).toInt); i += 1 }
+    if (findCoverSet(f) == 0) len
     else {
-      nbrStamp += 1
-      cover.foreach(nbrMark(_) = nbrStamp)
-      val head = sorted.filter(u => nbrMark(u) != nbrStamp)
-      val out  = head ++ sorted.filter(u => nbrMark(u) == nbrStamp)
-      (out, head.length)
+      var head = 0; var tail = 0
+      i = 0
+      while (i < len) {
+        val u = ext(i)
+        if (has(cover, u)) { extCopy(tail) = u; tail += 1 } else { ext(head) = u; head += 1 }
+        i += 1
+      }
+      System.arraycopy(extCopy, 0, ext, head, tail)
+      head
     }
   }
 
-  /** Does the lookahead rule fire? G(S ∪ ext) valid => output it. */
-  private def lookahead(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Boolean = {
-    val t0  = if (timers ne null) System.nanoTime else 0L
-    val all = (s ++ ext).toArray
-    val ok  = QuasiClique.isQuasiClique(g, all, gamma)
-    if (ok) sink(QuasiClique.canon(all))
+  /** Does the lookahead rule fire? G(S ∪ ext(from until extLen)) valid =>
+    * output it.
+    */
+  private def lookahead(f: Miner.Frame, from: Int): Boolean = {
+    val t0 = if (timers ne null) System.nanoTime else 0L
+    setBits(qBits, f.ext, from, f.extLen)
+    var i = 0
+    while (i < f.sLen) { val v = f.s(i); qBits(v >>> 6) |= 1L << v; i += 1 }
+    val m  = f.sLen + f.extLen - from
+    val ok = qBitsValid(m)
+    if (ok) sink(members(qBits, m))
     if (timers ne null) timers.lookaheadNs += System.nanoTime - t0
     ok
   }
 
-  /** ext filtered to vertices within 2 hops of v (diameter pruning, P1). */
-  private[core] def diameterShrink(ext: ArrayBuffer[Int], v: Int): ArrayBuffer[Int] = {
-    nbrStamp += 1
+  /** ext(from until to) filtered, in order, to the vertices within 2 hops
+    * of v (diameter pruning, P1), written to `out`; returns their count.
+    */
+  private def diameterShrink(ext: Array[Int], from: Int, to: Int, v: Int, out: Array[Int]): Int = {
+    System.arraycopy(rows, v * words, reach, 0, words)
     val av = g.adj(v); var i = 0
-    while (i < av.length) { nbrMark(av(i)) = nbrStamp; i += 1 }
-    ext.filter { u =>
-      if (nbrMark(u) == nbrStamp) true
-      else {
-        val au = g.adj(u); var j = 0; var hit = false
-        while (!hit && j < au.length) { if (nbrMark(au(j)) == nbrStamp) hit = true; j += 1 }
-        hit
-      }
+    while (i < av.length) {
+      val base = av(i) * words; var k = 0
+      while (k < words) { reach(k) |= rows(base + k); k += 1 }
+      i += 1
     }
+    var len = 0
+    i = from
+    while (i < to) { val u = ext(i); if (has(reach, u)) { out(len) = u; len += 1 }; i += 1 }
+    len
+  }
+
+  /** Test hook: `diameterShrink` on a buffer. */
+  private[core] def diameterShrink(ext: ArrayBuffer[Int], v: Int): ArrayBuffer[Int] = {
+    val src = ext.toArray
+    val out = new Array[Int](src.length)
+    ArrayBuffer.from(out.iterator.take(diameterShrink(src, 0, src.length, v, out)))
   }
 
   // ------------------------------------------------ Algorithms 3, 8, 10
@@ -350,35 +529,44 @@ final class Miner(
     * `recursiveMine` returns, counting only the recursed children.
     */
   def mine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], spawnAt: Int => Boolean,
-           spawn: (Array[Int], Array[Int]) => Unit): Boolean =
-    search(s0, ext0, 0, spawnAt, spawn)
+           spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
+    load(0, s0, ext0)
+    search(0, spawnAt, spawn)
+  }
 
-  private def search(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], depth: Int,
-                     spawnAt: Int => Boolean, spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
+  /** Mines from the S and ext held in frame `depth`; children go to frame
+    * `depth + 1`.
+    */
+  private def search(depth: Int, spawnAt: Int => Boolean,
+                     spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
+    val f = frame(depth)
     var qFound = false
-    val (ext, nHead) = orderExt(s0, ext0)
+    val nHead = orderExt(f)
+    val c = frame(depth + 1)
     var examined = 0
     while (examined < nHead) {
       if (System.nanoTime > deadlineNanos) throw new Miner.DeadlineExceeded
-      if (s0.length + ext.length < tauSize) return qFound
-      if (lookahead(s0, ext)) return true
-      val v = ext.remove(0)
-      val ext1 = diameterShrink(ext, v)
-      val s1 = s0.clone() += v
-      if (ext1.isEmpty) {
+      if (f.sLen + f.extLen - examined < tauSize) return qFound
+      if (lookahead(f, examined)) return true
+      val v = f.ext(examined)
+      examined += 1
+      c.extLen = diameterShrink(f.ext, examined, f.extLen, v, c.ext)
+      System.arraycopy(f.s, 0, c.s, 0, f.sLen)
+      c.s(f.sLen) = v
+      c.sLen = f.sLen + 1
+      if (c.extLen == 0) {
         // boundary case missed by the original Quick (may lose results)
-        if (plus && checkOutput(s1)) qFound = true
+        if (plus && checkOutput(c.s, c.sLen)) qFound = true
       } else {
-        val pruned = iterativeBounding(s1, ext1)
-        if (!pruned && s1.length + ext1.length >= tauSize) {
+        val pruned = iterativeBounding(c)
+        if (!pruned && c.sLen + c.extLen >= tauSize) {
           if (spawnAt(depth)) {
-            spawn(s1.toArray, ext1.toArray)
-            checkOutput(s1)
-          } else if (search(s1, ext1, depth + 1, spawnAt, spawn)) qFound = true
-          else if (checkOutput(s1)) qFound = true
+            spawn(java.util.Arrays.copyOf(c.s, c.sLen), java.util.Arrays.copyOf(c.ext, c.extLen))
+            checkOutput(c.s, c.sLen)
+          } else if (search(depth + 1, spawnAt, spawn)) qFound = true
+          else if (checkOutput(c.s, c.sLen)) qFound = true
         }
       }
-      examined += 1
     }
     qFound
   }

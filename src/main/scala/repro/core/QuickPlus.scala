@@ -20,6 +20,7 @@ object TaskSpawn {
     */
   def prelude(g: LocalGraph, gamma: Double, tauSize: Int, recode: Boolean): MiningGraph = {
     require(tauSize >= 1, s"tauSize must be at least 1, got $tauSize")
+    require(gamma >= 0.5 && gamma <= 1.0, s"gamma must be in [0.5, 1], got $gamma")
     val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
     val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
     if (!recode || gK.n == 0) MiningGraph(k, gK, idsK, gK.n)

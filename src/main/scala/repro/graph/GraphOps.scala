@@ -42,27 +42,47 @@ object GraphOps {
     * where `oldIds(newId) = old id`.
     */
   def induced(g: LocalGraph, vs: Array[Int]): (LocalGraph, Array[Int]) = {
-    val toNew = new java.util.HashMap[Integer, Integer](vs.length * 2)
+    val toNew = marks.get
+    toNew.begin(g.n)
     var i = 0
     while (i < vs.length) { toNew.put(vs(i), i); i += 1 }
     val adj = new Array[Array[Int]](vs.length)
     i = 0
     while (i < vs.length) {
-      val a   = g.adj(vs(i))
-      val out = Array.newBuilder[Int]
-      var j = 0
-      while (j < a.length) {
-        val nw = toNew.get(a(j))
-        if (nw ne null) out += nw.intValue()
-        j += 1
-      }
-      val arr = out.result()
+      val a = g.adj(vs(i))
+      var d = 0; var j = 0
+      while (j < a.length) { if (toNew.has(a(j))) d += 1; j += 1 }
+      val arr = new Array[Int](d)
+      d = 0; j = 0
+      while (j < a.length) { if (toNew.has(a(j))) { arr(d) = toNew.value(a(j)); d += 1 }; j += 1 }
       java.util.Arrays.sort(arr)
       adj(i) = arr
       i += 1
     }
     (new LocalGraph(adj), vs.clone())
   }
+
+  /** Vertex marks reused across calls on one thread, so `induced` and
+    * `twoHopAbove` cost what their output costs, not O(g.n) per call: they
+    * run once per task on the whole (broadcast) graph. Vertex v carries
+    * `value(v)` in the current call iff `mark(v) == stamp`.
+    */
+  private final class Marks {
+    private var mark  = Array.emptyIntArray
+    private var stamp = 0
+    var value = Array.emptyIntArray
+
+    /** Starts a call over vertex ids below n, with every vertex unmarked. */
+    def begin(n: Int): Unit = {
+      if (mark.length < n || stamp == Int.MaxValue) {
+        mark = new Array[Int](math.max(n, mark.length)); value = new Array[Int](mark.length); stamp = 0
+      }
+      stamp += 1
+    }
+    def has(v: Int): Boolean = mark(v) == stamp
+    def put(v: Int, x: Int): Unit = { mark(v) = stamp; value(v) = x }
+  }
+  private val marks = ThreadLocal.withInitial[Marks](() => new Marks)
 
   /** Core number of every vertex (peeling with bucket queues); the maximum
     * is the graph's degeneracy — the "Core #" feature of Tables 1–2.
@@ -116,21 +136,20 @@ object GraphOps {
     * `minDegree` drops vertices pruned by Theorem 2 up front.
     */
   def twoHopAbove(g: LocalGraph, v: Int, minDegree: Int): Array[Int] = {
-    val seen = new mutable.HashSet[Int]
+    val seen = marks.get
+    seen.begin(g.n)
+    val out = Array.newBuilder[Int]
+    def visit(w: Int): Unit =
+      if (w > v && !seen.has(w) && g.degree(w) >= minDegree) { seen.put(w, 0); out += w }
     val a = g.adj(v); var i = 0
     while (i < a.length) {
       val u = a(i)
-      if (u > v && g.degree(u) >= minDegree) seen += u
+      visit(u)
       val b = g.adj(u); var j = 0
-      while (j < b.length) {
-        val w = b(j)
-        if (w > v && w != v && g.degree(w) >= minDegree) seen += w
-        j += 1
-      }
+      while (j < b.length) { visit(b(j)); j += 1 }
       i += 1
     }
-    seen -= v
-    val arr = seen.toArray
+    val arr = out.result()
     java.util.Arrays.sort(arr)
     arr
   }

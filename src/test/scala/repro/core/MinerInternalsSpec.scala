@@ -17,33 +17,45 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // ------------------------------------------------------ cover vertex P7
 
+  // n = 12 fits one 64-bit word of the miner's bitset rows; the others
+  // straddle word boundaries
   for (seed <- 1 to 8) test(s"cover-vertex theorem holds empirically (seed=$seed)") {
-    // Theorem (P7): for any γ-QC Q built from S plus ONLY vertices of
-    // C_S(u), Q ∪ {u} is also a γ-QC — so Q is never maximal.
-    val rnd = new Random(seed)
-    val g = GraphGen.erdosRenyi(12, 0.6 + 0.2 * rnd.nextDouble(), seed * 13)
-    val gamma = Seq(0.6, 0.75, 0.9)(rnd.nextInt(3))
-    val perm = rnd.shuffle((0 until g.n).toList)
-    val s = perm.take(1 + rnd.nextInt(3)).toArray
-    val ext = perm.slice(s.length, s.length + 7).toArray
-    val miner = newMiner(g, gamma, 2)
-    val cover = miner.coverSetFor(ArrayBuffer.from(s), ArrayBuffer.from(ext))
-    if (cover != null && cover.nonEmpty) {
-      // u = the vertex whose cover set was returned: recover it by checking
-      // each candidate; the property must hold for whichever u generated it,
-      // so verify the weaker universal form — every QC from S ∪ C is
-      // extendable by SOME ext vertex adjacent to all of C
-      val coverSet = cover.toSet
-      var mask = 1
-      while (mask < (1 << cover.length)) {
-        val z = cover.indices.filter(i => (mask & (1 << i)) != 0).map(cover)
-        val q = (s ++ z).sorted
-        if (QuasiClique.isQuasiClique(g, q, gamma)) {
-          val extendable = ext.exists(u => !coverSet.contains(u) && !q.contains(u) &&
-            QuasiClique.isQuasiClique(g, (q :+ u).sorted, gamma))
-          assert(extendable, s"QC ${q.toSeq} from cover set is not extendable: cover=${cover.toSeq} s=${s.toSeq}")
+    for (n <- Seq(12, 63, 64, 65, 130)) {
+      // Theorem (P7): for any γ-QC Q built from S plus ONLY vertices of
+      // C_S(u), Q ∪ {u} is also a γ-QC — so Q is never maximal.
+      val rnd = new Random(seed)
+      val g = GraphGen.erdosRenyi(n, 0.6 + 0.2 * rnd.nextDouble(), seed * 13 + (if (n == 12) 0 else n))
+      val gamma = Seq(0.6, 0.75, 0.9)(rnd.nextInt(3))
+      val perm = rnd.shuffle((0 until g.n).toList)
+      val s = perm.take(1 + rnd.nextInt(3)).toArray
+      val ext = perm.slice(s.length, s.length + 7).toArray
+      val miner = newMiner(g, gamma, 2)
+      val cover = miner.coverSetFor(ArrayBuffer.from(s), ArrayBuffer.from(ext))
+      // Eq 9 over adjacency lists: the first u in ext order with the largest C_S(u)
+      val sSet = s.toSet
+      def dS(x: Int): Int = g.adj(x).count(sSet)
+      val cg = QuasiClique.ceilGamma(gamma, s.length)
+      val expected = ext.filter(u => dS(u) >= cg && s.forall(v => g.hasEdge(u, v) || dS(v) >= cg))
+        .map(u => g.adj(u).filter(w => ext.contains(w) && s.forall(v => g.hasEdge(u, v) || g.hasEdge(v, w))).toSeq)
+        .foldLeft(Seq.empty[Int])((best, c) => if (c.length > best.length) c else best)
+      assert(Option(cover).fold(Seq.empty[Int])(_.toSeq) == expected, s"n=$n s=${s.toSeq} ext=${ext.toSeq}")
+      if (cover != null && cover.nonEmpty) {
+        // u = the vertex whose cover set was returned: recover it by checking
+        // each candidate; the property must hold for whichever u generated it,
+        // so verify the weaker universal form — every QC from S ∪ C is
+        // extendable by SOME ext vertex adjacent to all of C
+        val coverSet = cover.toSet
+        var mask = 1
+        while (mask < (1 << cover.length)) {
+          val z = cover.indices.filter(i => (mask & (1 << i)) != 0).map(cover)
+          val q = (s ++ z).sorted
+          if (QuasiClique.isQuasiClique(g, q, gamma)) {
+            val extendable = ext.exists(u => !coverSet.contains(u) && !q.contains(u) &&
+              QuasiClique.isQuasiClique(g, (q :+ u).sorted, gamma))
+            assert(extendable, s"n=$n QC ${q.toSeq} from cover set is not extendable: cover=${cover.toSeq} s=${s.toSeq}")
+          }
+          mask += 1
         }
-        mask += 1
       }
     }
   }
@@ -51,17 +63,35 @@ class MinerInternalsSpec extends AnyFunSuite {
   // --------------------------------------------------- diameter shrink P1
 
   for (seed <- 1 to 6) test(s"diameterShrink keeps exactly the 2-hop reachable ext vertices (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(20, 0.15, seed * 7)
-    val rnd = new Random(seed)
-    val perm = rnd.shuffle((0 until g.n).toList)
-    val v = perm.head
-    val ext = perm.tail.take(10)
-    val miner = newMiner(g, 0.9, 2)
-    val got = miner.diameterShrink(ArrayBuffer.from(ext), v).toSet
-    val expect = ext.filter { u =>
-      g.hasEdge(u, v) || g.adj(u).exists(w => g.hasEdge(w, v))
-    }.toSet
-    assert(got == expect)
+    // average degree 3 at every n; n > 64 spans several bitset words
+    for (n <- Seq(20, 63, 64, 65, 130)) {
+      val g = GraphGen.erdosRenyi(n, 3.0 / n, seed * 7 + (if (n == 20) 0 else n))
+      val rnd = new Random(seed)
+      val perm = rnd.shuffle((0 until g.n).toList)
+      val v = perm.head
+      val ext = perm.tail.take(n / 2)
+      val miner = newMiner(g, 0.9, 2)
+      val got = miner.diameterShrink(ArrayBuffer.from(ext), v)
+      val expect = ext.filter { u =>
+        g.hasEdge(u, v) || g.adj(u).exists(w => g.hasEdge(w, v))
+      }
+      assert(got.toSeq == expect, s"n=$n v=$v")
+    }
+  }
+
+  for (seed <- 1 to 4) test(s"recursiveMine == brute force on vertices placed across bitset word boundaries (seed=$seed)") {
+    val compact = GraphGen.erdosRenyi(14, 0.6, seed * 31)
+    // ids straddling 63/64 and 127/128 in a graph padded with isolated vertices
+    val ids = Array(60, 61, 62, 63, 64, 65, 66, 124, 125, 126, 127, 128, 129, 130)
+    val edges = compact.packedEdges.map(e => LocalGraph.pack(ids(LocalGraph.unpackU(e)), ids(LocalGraph.unpackV(e))))
+    val padded = LocalGraph.fromEdges(140, edges)
+    for (gamma <- Seq(0.6, 0.75, 0.9)) {
+      val out = ArrayBuffer.empty[Array[Int]]
+      newMiner(padded, gamma, 3, out).recursiveMine(ArrayBuffer.empty[Int], ArrayBuffer.from(ids))
+      val got = Maximality.filterMaximal(out.toSeq).map(_.toVector).toSet
+      val expect = BruteForce.allMaximal(compact, gamma, 3).map(_.map(ids).toVector).toSet
+      assert(got == expect, s"gamma=$gamma missing=${(expect -- got).take(3)} extra=${(got -- expect).take(3)}")
+    }
   }
 
   // --------------------------------- decomposition preserves completeness

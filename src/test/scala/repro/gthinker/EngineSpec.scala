@@ -4,7 +4,7 @@ import org.apache.spark.ShuffleDependency
 import org.apache.spark.rdd.RDD
 import repro.SparkSpec
 import repro.core.{QuickPlus, BruteForce}
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, LocalGraph}
 
 /** The engine must produce exactly the serial Quick+ maximal result set, for
   * every mode (A_base / A_split / A_time), engine variant (old/new), and
@@ -97,6 +97,15 @@ class EngineSpec extends SparkSpec {
     intercept[IllegalArgumentException](EngineConfig(parallelism = 0))
     intercept[IllegalArgumentException](Engine.run(spark.sparkContext, g, 0.7, 0, ABase, EngineConfig(2)))
     intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.7, 0))
+  }
+
+  test("gamma outside [0.5, 1] is rejected even when no miner is ever built") {
+    // the k-core of an edgeless graph is empty, so no task reaches a Miner
+    val g = LocalGraph.empty(5)
+    for (gamma <- Seq(0.3, 1.5)) {
+      intercept[IllegalArgumentException](Engine.run(spark.sparkContext, g, gamma, 3, ABase, EngineConfig(2)))
+      intercept[IllegalArgumentException](QuickPlus.mineSerial(g, gamma, 3))
+    }
   }
 
   test("placement puts bucket i in partition i without a shuffle") {
