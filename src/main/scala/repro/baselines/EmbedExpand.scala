@@ -11,8 +11,6 @@ import repro.graph.LocalGraph
   */
 object EmbedExpand {
 
-  final case class AppResult(value: Long, millis: Double)
-
   private def adjRDD(sc: SparkContext, g: LocalGraph, p: Int): RDD[(Int, Array[Int])] =
     sc.parallelize(0 until g.n, p).map(v => (v, g.adj(v)))
 

@@ -13,8 +13,6 @@ import repro.gthinker.Engine
   */
 object GThinkerApps {
 
-  final case class AppResult(value: Long, millis: Double)
-
   /** Place per-vertex tasks on p workers with the engine's placement. Big =
     * high degree; the owner of a vertex task is the vertex.
     */

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.SynthData
 import repro.graph.LocalGraph
 
 /** Catalyst/DataFrame self-join implementations of TC and GM — the stand-in
@@ -11,20 +11,10 @@ import repro.graph.LocalGraph
   */
 object SqlJoin {
 
-  final case class AppResult(value: Long, millis: Double)
-
-  /** The graph as an oriented edge table (src < dst). */
-  def edgeDF(spark: SparkSession, g: LocalGraph): DataFrame = {
-    import spark.implicits._
-    val rows = g.packedEdges.map(e => (LocalGraph.unpackU(e), LocalGraph.unpackV(e)))
-    spark.sparkContext.parallelize(rows.toIndexedSeq, math.max(1, spark.sparkContext.defaultParallelism))
-      .toDF("src", "dst")
-  }
-
   /** Triangle count: e1(a,b) ⋈ e2(b,c) ⋈ e3(a,c) with a<b<c. */
   def triangleCount(spark: SparkSession, g: LocalGraph): AppResult = {
     val t0 = System.nanoTime
-    val e = edgeDF(spark, g).cache()
+    val e = SynthData.graphEdges(spark, g).cache()
     e.count() // materialize input outside nothing — the joins are the workload
     val e1 = e.toDF("a", "b")
     val e2 = e.toDF("b", "c")
@@ -37,7 +27,7 @@ object SqlJoin {
   /** 4-clique count: six-edge join over a<b<c<d. */
   def fourCliqueCount(spark: SparkSession, g: LocalGraph): AppResult = {
     val t0 = System.nanoTime
-    val e = edgeDF(spark, g).cache()
+    val e = SynthData.graphEdges(spark, g).cache()
     e.count()
     val ab = e.toDF("a", "b")
     val ac = e.toDF("a", "c")
@@ -56,7 +46,7 @@ object SqlJoin {
     * oracle (same SQL runs on both engines in tests).
     */
   def triangleCountDF(spark: SparkSession, g: LocalGraph): DataFrame = {
-    val e = edgeDF(spark, g)
+    val e = SynthData.graphEdges(spark, g)
     e.createOrReplaceTempView("edges")
     spark.sql(
       """SELECT count(*) AS n_triangles

@@ -42,7 +42,9 @@ case object ABase extends Mode
   */
 case object ASplit extends Mode
 /** Mine for τ_time, then wrap remaining branches as subtasks (Algs 9–10). */
-final case class ATime(tauTimeMillis: Double) extends Mode
+final case class ATime(tauTimeMillis: Double) extends Mode {
+  require(tauTimeMillis >= 0, s"tau_time must be a non-negative number of ms, got $tauTimeMillis")
+}
 
 /** Engine knobs. `prioritizeBigTasks=false` emulates the ORIGINAL G-thinker
   * engine (per-thread local queues only: subtasks stay hashed to their
@@ -57,6 +59,7 @@ final case class EngineConfig(
     tauSplit: Int = 100,
     recordTaskStats: Boolean = false) {
   require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
+  require(tauSplit >= 0, s"tauSplit must be non-negative, got $tauSplit")
 }
 
 final case class EngineResult(

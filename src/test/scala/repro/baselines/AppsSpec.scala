@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.BruteForce
 import repro.graph.GraphGen
 
@@ -50,7 +50,7 @@ class AppsSpec extends SparkSpec {
       """SELECT count(*) AS n_triangles
         |FROM edges e1 JOIN edges e2 ON e1.dst = e2.src
         |              JOIN edges e3 ON e1.src = e3.src AND e2.dst = e3.dst""".stripMargin,
-      "edges" -> SqlJoin.edgeDF(spark, g))
+      "edges" -> SynthData.graphEdges(spark, g))
   }
 
   test("EmbedExpand maxClique reports embedding explosion instead of running away") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, NearThreshold}
 
 /** Quick+ must agree exactly with the brute-force enumerator on small random
   * graphs, across γ, τ_size, densities and seeds. This is the definitional
@@ -11,11 +11,13 @@ class MinerCorrectnessSpec extends SparkSpec {
 
   private def canonSet(rs: Seq[Array[Int]]): Set[Vector[Int]] = rs.map(_.toVector).toSet
 
-  private def checkAgainstBruteForce(g: LocalGraph, gamma: Double, tauSize: Int, label: String): Unit = {
+  /** Asserts Quick+ == brute force and returns the brute-force answer. */
+  private def checkAgainstBruteForce(g: LocalGraph, gamma: Double, tauSize: Int, label: String): Set[Vector[Int]] = {
     val expected = canonSet(BruteForce.allMaximal(g, gamma, tauSize))
     val got      = canonSet(QuickPlus.mineSerial(g, gamma, tauSize).maximal)
     assert(got == expected,
       s"$label: mismatch\n  missing=${(expected -- got).take(5)}\n  extra=${(got -- expected).take(5)}")
+    expected
   }
 
   for {
@@ -35,6 +37,15 @@ class MinerCorrectnessSpec extends SparkSpec {
       checkAgainstBruteForce(g, 0.85, 6, s"dense seed=$seed")
     }
   }
+
+  // Planted near-threshold graphs: every seed of a fixed range, every γ and τ.
+  for (seed <- 1 to 20)
+    test(s"Quick+ == brute force on planted near-threshold graphs (seed=$seed)") {
+      val g = NearThreshold.graph(seed)
+      val answers = for (gamma <- Seq(0.6, 0.7, 0.75, 0.8, 0.9); tau <- Seq(4, 5, 6))
+        yield checkAgainstBruteForce(g, gamma, tau, s"planted(seed=$seed) gamma=$gamma tau=$tau")
+      assert(answers.exists(_.nonEmpty), s"planted(seed=$seed) has no quasi-clique at any gamma/tau")
+    }
 
   test("Quick+ without recoding gives the same maximal sets") {
     for (seed <- 1 to 4) {

@@ -4,7 +4,7 @@ import org.apache.spark.ShuffleDependency
 import org.apache.spark.rdd.RDD
 import repro.SparkSpec
 import repro.core.{QuickPlus, BruteForce}
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, NearThreshold}
 
 /** The engine must produce exactly the serial Quick+ maximal result set, for
   * every mode (A_base / A_split / A_time), engine variant (old/new), and
@@ -40,6 +40,17 @@ class EngineSpec extends SparkSpec {
     for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0))) {
       val res = Engine.run(spark.sparkContext, g, 0.75, 4, mode, EngineConfig(parallelism = 2, tauSplit = 3))
       assert(canonSet(res.maximal) == truth, s"mode=$mode")
+    }
+    // planted near-threshold graphs; γ and τ cycle with the seed
+    for (seed <- 1 to 6) {
+      val (gamma, tau) = (Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3)
+      val pg = NearThreshold.graph(seed)
+      val ptruth = canonSet(BruteForce.allMaximal(pg, gamma, tau))
+      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); prioritize <- Seq(true, false); par <- Seq(1, 3)) {
+        val res = Engine.run(spark.sparkContext, pg, gamma, tau, mode,
+          EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 2))
+        assert(canonSet(res.maximal) == ptruth, s"planted(seed=$seed) gamma=$gamma tau=$tau mode=$mode prioritize=$prioritize p=$par")
+      }
     }
   }
 
@@ -95,6 +106,9 @@ class EngineSpec extends SparkSpec {
   test("bad parameters are rejected up front") {
     val g = GraphGen.erdosRenyi(20, 0.3, 1)
     intercept[IllegalArgumentException](EngineConfig(parallelism = 0))
+    intercept[IllegalArgumentException](EngineConfig(parallelism = 2, tauSplit = -1))
+    intercept[IllegalArgumentException](ATime(-1.0))
+    intercept[IllegalArgumentException](ATime(Double.NaN))
     intercept[IllegalArgumentException](Engine.run(spark.sparkContext, g, 0.7, 0, ABase, EngineConfig(2)))
     intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.7, 0))
   }
