@@ -47,11 +47,13 @@ final case class ATime(tauTimeMillis: Double) extends Mode {
 }
 
 /** Engine knobs. `prioritizeBigTasks=false` emulates the ORIGINAL G-thinker
-  * engine (per-thread local queues only: subtasks stay hashed to their
-  * spawning worker, no big-task-first ordering); `true` is the paper's
-  * redesign (global big-task queue + stealing ≈ sort big tasks first and
-  * round-robin them across workers each round). `tauSplit` is the paper's
-  * τ_split: A_split's threshold and the size from which a task is big.
+  * engine (per-thread local queues only: every subtask is mined by its
+  * spawning worker, so one round finishes the job, with no big-task-first
+  * ordering); `true` is the paper's redesign (small subtasks still stay in the
+  * local queue, but big ones go to a global queue + stealing ≈ sent back to
+  * the driver, sorted big first and dealt round-robin across workers for the
+  * next round). `tauSplit` is the paper's τ_split: A_split's threshold and the
+  * size from which a task is big.
   */
 final case class EngineConfig(
     parallelism: Int,
@@ -70,6 +72,7 @@ final case class EngineResult(
     rounds: Int,
     tasksProcessed: Long,
     subtasksSpawned: Long,
+    subtasksSpilled: Long,
     miningMillis: Double,
     materializeMillis: Double,
     maxTaskMillis: Double,
@@ -82,9 +85,9 @@ final case class EngineResult(
   * collected `Emit` stream, so a retried Spark task is counted once.
   */
 private final case class Totals(mineNs: Long = 0L, matNs: Long = 0L, tasks: Long = 0L,
-                                spawned: Long = 0L, maxTaskNs: Long = 0L) {
+                                spawned: Long = 0L, spilled: Long = 0L, maxTaskNs: Long = 0L) {
   def +(o: Totals): Totals = Totals(mineNs + o.mineNs, matNs + o.matNs, tasks + o.tasks,
-    spawned + o.spawned, math.max(maxTaskNs, o.maxTaskNs))
+    spawned + o.spawned, spilled + o.spilled, math.max(maxTaskNs, o.maxTaskNs))
 }
 
 private sealed trait Emit extends Serializable
@@ -95,8 +98,11 @@ private final case class EmitTotals(t: Totals) extends Emit
 
 /** The redesigned G-thinker execution engine on Spark.
   *
-  * One Spark round = every worker drains its task list once. Between rounds
-  * the driver re-places tasks with `place`.
+  * One Spark round = one job in which every partition mines its placed tasks
+  * and, depth-first from a local stack, the subtasks they spawn, until both
+  * are empty. Only a big subtask (|ext| ≥ τ_split, redesigned engine only)
+  * is spilled back to the driver, which re-places the spilled tasks with
+  * `place` for the next round.
   */
 object Engine {
 
@@ -141,7 +147,7 @@ object Engine {
                       gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig,
                       wall0: Long)(initial: Broadcast[LocalGraph] => Array[Emit]): EngineResult = {
     if (gm.n == 0)
-      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
+      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
     val bc = sc.broadcast(gm)
     val results = ArrayBuffer.empty[Array[Int]]
     val stats   = ArrayBuffer.empty[TaskStat]
@@ -177,21 +183,24 @@ object Engine {
 
     EngineResult(
       maximal, results.length.toLong, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
-      rounds, totals.tasks, totals.spawned,
+      rounds, totals.tasks, totals.spawned, totals.spilled,
       totals.mineNs / 1e6, totals.matNs / 1e6, totals.maxTaskNs / 1e6,
       stats.toSeq, peakHeap)
   }
 
   /** One round, one Spark job: every partition materializes and mines its
-    * tasks, emitting results, subtasks, optional task stats and its totals.
+    * tasks and the small subtasks they spawn (local-first, LIFO), emitting
+    * results, spilled big subtasks, optional task stats and its totals.
     */
   private def runRound(placed: RDD[QCTask], bc: Broadcast[LocalGraph], gamma: Double,
                        tauSize: Int, mode: Mode, conf: EngineConfig): Array[Emit] =
     placed.mapPartitions { it =>
       val graph = bc.value
       val out = ArrayBuffer.empty[Emit]
+      val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
       var tot = Totals()
-      it.foreach { t =>
+      while (local.nonEmpty || it.hasNext) {
+        val t = if (local.nonEmpty) local.remove(local.length - 1) else it.next()
         val m0 = System.nanoTime
         val verts = new Array[Int](t.s.length + t.ext.length)
         System.arraycopy(t.s, 0, verts, 0, t.s.length)
@@ -199,20 +208,23 @@ object Engine {
         val (sub, oldIds) = GraphOps.induced(graph, verts)
         val matNs = System.nanoTime - m0
         val feats = if (conf.recordTaskStats) GraphOps.features(sub) else null
-        var spawned = 0L
+        var spawned, spilled = 0L
         val t1 = System.nanoTime
         val sink = (arr: Array[Int]) => {
           out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
         }
         val spawnChild = (s: Array[Int], e: Array[Int]) => {
           spawned += 1
-          out += EmitTask(QCTask(t.root, s.map(oldIds), e.map(oldIds))); ()
+          val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
+          if (conf.prioritizeBigTasks && e.length >= conf.tauSplit) { spilled += 1; out += EmitTask(child) }
+          else local += child
+          ()
         }
         new Miner(sub, gamma, tauSize, sink).mine(
           ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until verts.length),
           mode.spawnRule(t.ext.length, conf.tauSplit, t1), spawnChild)
         val dt = System.nanoTime - t1
-        tot += Totals(dt, matNs, 1L, spawned, dt)
+        tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
         if (feats != null)
           out += EmitStat(TaskStat(t.root, feats.nV, feats.nE, feats.maxDeg, feats.avgDeg, feats.coreNum, dt))
       }

@@ -46,7 +46,7 @@ class EngineSpec extends SparkSpec {
       val (gamma, tau) = (Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3)
       val pg = NearThreshold.graph(seed)
       val ptruth = canonSet(BruteForce.allMaximal(pg, gamma, tau))
-      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); prioritize <- Seq(true, false); par <- Seq(1, 3)) {
+      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); prioritize <- Seq(true, false); par <- 1 to 4) {
         val res = Engine.run(spark.sparkContext, pg, gamma, tau, mode,
           EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 2))
         assert(canonSet(res.maximal) == ptruth, s"planted(seed=$seed) gamma=$gamma tau=$tau mode=$mode prioritize=$prioritize p=$par")
@@ -101,6 +101,39 @@ class EngineSpec extends SparkSpec {
     val time = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2))
     assert(time.subtasksSpawned > 0)
     assert(time.tasksProcessed - time.subtasksSpawned == base.tasksProcessed)
+  }
+
+  test("old engine mines every subtask locally: one round, nothing spilled, serial answer") {
+    val g = GraphGen.erdosRenyi(40, 0.35, 9)
+    val truth = serialTruth(g, 0.7, 5)
+    for ((mode, tauSplit) <- Seq[(Mode, Int)]((ABase, 8), (ASplit, 2), (ATime(0.0), 8))) {
+      val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode,
+        EngineConfig(2, prioritizeBigTasks = false, tauSplit = tauSplit))
+      assert(res.rounds == 1, s"mode=$mode")
+      assert(res.subtasksSpilled == 0, s"mode=$mode")
+      if (mode != ABase) assert(res.subtasksSpawned > 0, s"mode=$mode")
+      assert(canonSet(res.maximal) == truth, s"mode=$mode")
+    }
+  }
+
+  test("redesigned engine spills only subtasks with |ext| >= tau_split") {
+    val g = GraphGen.erdosRenyi(40, 0.35, 9)
+    val truth = serialTruth(g, 0.7, 5)
+    val base = Engine.run(spark.sparkContext, g, 0.7, 5, ABase, EngineConfig(2))
+    // tau_split above every |ext|: every subtask is small and stays local
+    val local = Engine.run(spark.sparkContext, g, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = g.n))
+    assert(local.subtasksSpawned > 0)
+    assert(local.subtasksSpilled == 0)
+    assert(local.rounds == 1)
+    // tau_split = 2: the big subtasks go back to the driver for another round
+    val spill = Engine.run(spark.sparkContext, g, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = 2))
+    assert(spill.subtasksSpilled > 0)
+    assert(spill.rounds > 1)
+    for (r <- Seq(local, spill)) {
+      assert(r.subtasksSpilled <= r.subtasksSpawned)
+      assert(r.tasksProcessed - r.subtasksSpawned == base.tasksProcessed)
+      assert(canonSet(r.maximal) == truth)
+    }
   }
 
   test("bad parameters are rejected up front") {
