@@ -8,8 +8,8 @@ import repro.gthinker.Engine
   * maximum clique finding (MCF) and subgraph matching (GM, here: counting
   * 4-cliques) — implemented as per-vertex compute tasks over a broadcast
   * graph, with the old-engine (hash placement, FIFO) vs redesigned-engine
-  * (big-task-first, round-robin) scheduling knob, mirroring the
-  * G-thinker vs G-thinker+ columns.
+  * (big-task-first, round-robin into 2p pulled slices) scheduling knob,
+  * mirroring the G-thinker vs G-thinker+ columns.
   */
 object GThinkerApps {
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.{Arrays, Comparator}
 import scala.collection.mutable
 
 /** Post-processing phase: remove non-maximal quasi-cliques from the set of
@@ -11,15 +12,25 @@ import scala.collection.mutable
   */
 object Maximality {
 
+  /** Size descending, then numeric lexicographic order. */
+  private val bySizeThenLex: Comparator[Array[Int]] = (a, b) =>
+    if (a.length != b.length) Integer.compare(b.length, a.length) else Arrays.compare(a, b)
+
   /** Deduplicate `results` (each a sorted vertex array) and keep only those
     * not strictly contained in another result. Output sorted by size
-    * descending, then lexicographically.
+    * descending, then in numeric lexicographic order; duplicates are dropped
+    * as adjacent equal arrays of that order.
+    *
+    * The sort takes a comparator on the primitive arrays, not a `sortBy`
+    * key: `sortBy` recomputes its key on every comparison, so a key such as
+    * `a.mkString(",")` builds O(n log n) strings per sort (and orders "2,10"
+    * before "2,9").
     */
   def filterMaximal(results: Seq[Array[Int]]): Seq[Array[Int]] = {
-    val distinct = results.map(_.toVector).distinct.map(_.toArray)
-    val bySize   = distinct.sortBy(a => (-a.length, a.mkString(",")))
-    val index    = new mutable.HashMap[Int, mutable.ArrayBuffer[Array[Int]]]
-    val kept     = mutable.ArrayBuffer.empty[Array[Int]]
+    val bySize = results.toArray
+    Arrays.sort(bySize, bySizeThenLex)
+    val index  = new mutable.HashMap[Int, mutable.ArrayBuffer[Array[Int]]]
+    val kept   = mutable.ArrayBuffer.empty[Array[Int]]
 
     def isSubsetOf(small: Array[Int], big: Array[Int]): Boolean = {
       if (small.length > big.length) return false
@@ -32,7 +43,8 @@ object Maximality {
       i == small.length
     }
 
-    for (s <- bySize) {
+    for (k <- bySize.indices if k == 0 || !Arrays.equals(bySize(k), bySize(k - 1))) {
+      val s = bySize(k)
       // probe via the member with the smallest posting list
       var bestList: mutable.ArrayBuffer[Array[Int]] = null
       var i = 0

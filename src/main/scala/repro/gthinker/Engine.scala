@@ -48,12 +48,14 @@ final case class ATime(tauTimeMillis: Double) extends Mode {
 
 /** Engine knobs. `prioritizeBigTasks=false` emulates the ORIGINAL G-thinker
   * engine (per-thread local queues only: every subtask is mined by its
-  * spawning worker, so one round finishes the job, with no big-task-first
-  * ordering); `true` is the paper's redesign (small subtasks still stay in the
-  * local queue, but big ones go to a global queue + stealing ≈ sent back to
-  * the driver, sorted big first and dealt round-robin across workers for the
-  * next round). `tauSplit` is the paper's τ_split: A_split's threshold and the
-  * size from which a task is big.
+  * spawning worker, so one round finishes the job; tasks are dealt into p
+  * static owner-hashed slices, with no big-task-first ordering and no
+  * stealing); `true` is the paper's redesign (small subtasks still stay in
+  * the local queue, but big ones go to a global queue + stealing ≈ sent back
+  * to the driver, sorted big first and dealt round-robin into 2p slices that
+  * idle workers pull for the next round; see `Engine.place`). `tauSplit` is
+  * the paper's τ_split: A_split's threshold and the size from which a task
+  * is big.
   */
 final case class EngineConfig(
     parallelism: Int,
@@ -102,7 +104,9 @@ private final case class EmitTotals(t: Totals) extends Emit
   * and, depth-first from a local stack, the subtasks they spawn, until both
   * are empty. Only a big subtask (|ext| ≥ τ_split, redesigned engine only)
   * is spilled back to the driver, which re-places the spilled tasks with
-  * `place` for the next round.
+  * `place` for the next round. The redesigned engine places a round's
+  * tasks in 2p slices that idle cores pull, so a worker that draws a
+  * straggler does not also keep a full p-th of the rest (see `place`).
   */
 object Engine {
 
@@ -232,28 +236,44 @@ object Engine {
       out.iterator
     }.collect()
 
-  /** Deal `items` into `p` buckets. With `prioritizeBig` (the redesigned
-    * engine: global queue + stealing), items with size >= `bigFrom` come
-    * first, largest first, then the rest in arrival order, dealt
-    * round-robin. Otherwise (the original engine) each item stays with the
-    * worker that owns it, FIFO — no prioritization, no stealing.
+  /** Deal `items` into `slices` buckets. With `prioritizeBig` (the
+    * redesigned engine: global queue + stealing), items with size >=
+    * `bigFrom` come first, largest first, then the rest in arrival order,
+    * dealt round-robin, so the first buckets start with the biggest items.
+    * Otherwise (the original engine) each item stays with the worker that
+    * owns it, FIFO — no prioritization, no stealing.
     */
-  private[gthinker] def buckets[T](items: Seq[T], p: Int, prioritizeBig: Boolean, bigFrom: Int)
+  private[gthinker] def buckets[T](items: Seq[T], slices: Int, prioritizeBig: Boolean, bigFrom: Int)
                 (size: T => Int, owner: T => Int): Array[ArrayBuffer[T]] = {
-    val out = Array.fill(p)(ArrayBuffer.empty[T])
+    val out = Array.fill(slices)(ArrayBuffer.empty[T])
     if (prioritizeBig) {
       val (big, small) = items.partition(size(_) >= bigFrom)
-      (big.sortBy(-size(_)) ++ small).zipWithIndex.foreach { case (x, i) => out(i % p) += x }
-    } else items.foreach(x => out(owner(x) % p) += x)
+      (big.sortBy(-size(_)) ++ small).zipWithIndex.foreach { case (x, i) => out(i % slices) += x }
+    } else items.foreach(x => out(owner(x) % slices) += x)
     out
   }
 
+  /** Slices per worker in the redesigned engine's placement. Two was
+    * measured on 4 vCPUs: four was no faster on `engine-results-enron`
+    * (wall −2%) and cost 7–10% more CPU there and on `engine-fine-hyves`.
+    */
+  private val PulledSlicesPerWorker = 2
+
   /** `buckets` as an RDD whose partition i holds bucket i, without a
-    * shuffle: one bucket per slice of `parallelize`.
+    * shuffle: one bucket per slice of `parallelize`. The original engine
+    * gets p static slices. The redesigned engine gets 2p slices that idle
+    * cores pull: Spark starts slices 0 … p−1, which begin with the p
+    * biggest items, and hands each later slice to whichever core frees
+    * first (Spark's form of stealing from the global queue). That needs a
+    * cluster that runs at most p tasks at once (`defaultParallelism` ≤ p):
+    * on a larger one, 2p slices would run on 2p cores, so the redesigned
+    * engine keeps p slices there and p still bounds the workers.
     */
   def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, prioritizeBig: Boolean, bigFrom: Int)
-                        (size: T => Int, owner: T => Int): RDD[T] =
-    sc.parallelize(buckets(items, p, prioritizeBig, bigFrom)(size, owner).toSeq, p).flatMap(b => b)
+                        (size: T => Int, owner: T => Int): RDD[T] = {
+    val slices = if (prioritizeBig && sc.defaultParallelism <= p) PulledSlicesPerWorker * p else p
+    sc.parallelize(buckets(items, slices, prioritizeBig, bigFrom)(size, owner).toSeq, slices).flatMap(b => b)
+  }
 
   private def usedHeapMB(): Long = {
     val rt = Runtime.getRuntime

@@ -17,6 +17,15 @@ class MaximalitySpec extends AnyFunSuite {
       Array.fill(sz)(rnd.nextInt(15)).distinct.sorted
     }
     assert(Maximality.filterMaximal(fam).map(_.toVector).toSet == naive(fam))
+    // wider ids and sizes, with some members repeated at scattered positions
+    val wide = Seq.fill(80)(Array.fill(1 + rnd.nextInt(24))(rnd.nextInt(201)).distinct.sorted)
+    val withRepeats = wide.zipWithIndex.flatMap { case (a, i) =>
+      if (i % 7 == 3) Seq(a, a.clone) else Seq(a)
+    } ++ Seq.fill(10)(wide(rnd.nextInt(wide.size)).clone)
+    val shuffled = rnd.shuffle(withRepeats)
+    val out = Maximality.filterMaximal(shuffled)
+    assert(out.map(_.toVector).toSet == naive(shuffled))
+    assert(out.map(_.toVector).distinct.size == out.size)
   }
 
   test("duplicates collapse to one") {
@@ -39,6 +48,13 @@ class MaximalitySpec extends AnyFunSuite {
     val fam = Seq(Array(1, 2), Array(5, 6, 7), Array(9))
     val out = Maximality.filterMaximal(fam)
     assert(out.map(_.length) == out.map(_.length).sorted.reverse)
+  }
+
+  test("output is ordered by size descending, then numeric lexicographic order") {
+    val fam = Seq(Array(2, 10), Array(7), Array(2, 9), Array(1, 2, 3), Array(1, 11), Array(0, 5, 6))
+    val out = Maximality.filterMaximal(fam)
+    assert(out.map(_.toVector) ==
+      Seq(Vector(0, 5, 6), Vector(1, 2, 3), Vector(1, 11), Vector(2, 9), Vector(2, 10), Vector(7)))
   }
 
   test("empty input") {

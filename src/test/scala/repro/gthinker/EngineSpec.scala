@@ -160,16 +160,23 @@ class EngineSpec extends SparkSpec {
     val tasks = (0 until 23).map(i => QCTask(i * 7 % 5, Array(i), Array.fill(i % 9)(0)))
     def hasShuffle(r: RDD[_]): Boolean =
       r.dependencies.exists(d => d.isInstanceOf[ShuffleDependency[_, _, _]] || hasShuffle(d.rdd))
-    for (prioritize <- Seq(true, false)) {
-      val buckets = Engine.buckets(tasks, 4, prioritize, bigFrom = 5)(_.ext.length, _.root)
-      val rdd = Engine.place(spark.sparkContext, tasks, 4, prioritize, bigFrom = 5)(_.ext.length, _.root)
+    val cores = spark.sparkContext.defaultParallelism
+    for (p <- Seq(4, 1); prioritize <- Seq(true, false)) {
+      val rdd = Engine.place(spark.sparkContext, tasks, p, prioritize, bigFrom = 5)(_.ext.length, _.root)
+      // the redesigned engine deals 2p slices for idle cores to pull, unless
+      // more than p cores would then run them at once; the old engine deals p
+      val slices = if (prioritize && cores <= p) 2 * p else p
+      val buckets = Engine.buckets(tasks, slices, prioritize, bigFrom = 5)(_.ext.length, _.root)
       val got = rdd.mapPartitionsWithIndex((i, it) => it.map(t => (i, t.s(0)))).collect()
-      assert(rdd.getNumPartitions == 4)
-      for (i <- 0 until 4)
-        assert(got.filter(_._1 == i).map(_._2).toSeq == buckets(i).map(_.s(0)).toSeq, s"prioritize=$prioritize bucket $i")
-      assert(!hasShuffle(rdd), s"prioritize=$prioritize")
-      if (prioritize) assert(buckets(0).head.ext.length == tasks.map(_.ext.length).max)
-      else buckets.zipWithIndex.foreach { case (b, i) => assert(b.forall(_.root % 4 == i)) }
+      assert(rdd.getNumPartitions == slices, s"p=$p prioritize=$prioritize")
+      for (i <- 0 until slices)
+        assert(got.filter(_._1 == i).map(_._2).toSeq == buckets(i).map(_.s(0)).toSeq, s"p=$p prioritize=$prioritize bucket $i")
+      assert(!hasShuffle(rdd), s"p=$p prioritize=$prioritize")
+      if (prioritize) {
+        assert(buckets(0).head.ext.length == tasks.map(_.ext.length).max)
+        // slices 0 … p−1, launched first, start with the p largest tasks, largest first
+        assert((0 until p).map(buckets(_).head.ext.length) == tasks.map(_.ext.length).sorted.reverse.take(p))
+      } else buckets.zipWithIndex.foreach { case (b, i) => assert(b.forall(_.root % p == i)) }
     }
   }
 }
