@@ -31,12 +31,13 @@ object Bounds {
       dSExtDesc: Array[Int],
       gamma: Double,
       quickCompat: Boolean): Verdict =
-    compute(sSize, sumDS, dMinTotal, dMinS, dSExtDesc, dSExtDesc.length, gamma, quickCompat,
-      new Array[Int](dSExtDesc.length + 1))
+    compute(sSize, sumDS, dMinTotal, dMinS, dSExtDesc, dSExtDesc.length, gamma,
+      QuasiClique.ceilTable(gamma, sSize + dSExtDesc.length), quickCompat, new Array[Int](dSExtDesc.length + 1))
 
-  /** As above over the first `nExt` values of `dSExtDesc`; `prefix` (at
-    * least nExt + 1 slots) is scratch, so the miner's hot path allocates
-    * nothing here.
+  /** As above over the first `nExt` values of `dSExtDesc`. `ceil(m)` must
+    * be ⌈γ·m⌉ for m < sSize + nExt (see `QuasiClique.ceilTable`); γ itself
+    * is still needed for ⌊d/γ⌋. `prefix` (at least nExt + 1 slots) is
+    * scratch, so the miner's hot path allocates nothing here.
     */
   def compute(
       sSize: Int,
@@ -46,6 +47,7 @@ object Bounds {
       dSExtDesc: Array[Int],
       nExt: Int,
       gamma: Double,
+      ceil: Array[Int],
       quickCompat: Boolean,
       prefix: Array[Int]): Verdict = {
     require(sSize > 0, "bounds need a non-empty S")
@@ -55,7 +57,7 @@ object Bounds {
     while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
 
     def lemma2Holds(t: Int): Boolean =
-      sumDS + prefix(t) >= sSize * QuasiClique.ceilGamma(gamma, sSize + t - 1)
+      sumDS + prefix(t) >= sSize * ceil(sSize + t - 1)
 
     // ---- U_S (Eqs 1-4) ----
     val usMin = QuasiClique.floorDiv(dMinTotal, gamma) + 1 - sSize
@@ -78,7 +80,7 @@ object Bounds {
     var lsMin = -1
     var t = 0
     while (t <= nExt && lsMin < 0) {
-      if (dMinS + t >= QuasiClique.ceilGamma(gamma, sSize + t - 1)) lsMin = t
+      if (dMinS + t >= ceil(sSize + t - 1)) lsMin = t
       t += 1
     }
     if (lsMin < 0) return PruneAll // Eq 7 infeasible: basic math, both variants prune

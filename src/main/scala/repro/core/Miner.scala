@@ -27,10 +27,13 @@ object Miner {
 
   /** One search node's S and ext: the first `sLen` / `extLen` slots of
     * arrays sized to the task graph, reused by every node at one depth.
+    * `rest` is the bitset of S ∪ ext(examined until extLen) while the node
+    * branches: the set its next lookahead tests.
     */
-  private final class Frame(n: Int) {
-    val s   = new Array[Int](n)
-    val ext = new Array[Int](n)
+  private final class Frame(n: Int, words: Int) {
+    val s    = new Array[Int](n)
+    val ext  = new Array[Int](n)
+    val rest = new Array[Long](words)
     var sLen   = 0
     var extLen = 0
   }
@@ -41,7 +44,13 @@ object MinerConfig {
   val quick: MinerConfig     = MinerConfig(isQuickPlus = false)
 }
 
-/** Wall-clock nanoseconds spent in each pruning phase (Table 16). */
+/** Wall-clock nanoseconds spent in each pruning phase (Table 16).
+  *
+  * A miner reads the clock around its phases only when it is given one of
+  * these: each phase costs two `System.nanoTime` calls per step, which is
+  * a measurable share of a serial run. Callers that report Table 16's
+  * phases pass an instance and read it afterwards.
+  */
 final class PhaseTimers extends Serializable {
   var lookaheadNs: Long = 0L
   var coverNs: Long     = 0L
@@ -85,7 +94,6 @@ final class Miner(
   require(gamma >= 0.5 && gamma <= 1.0, s"miner assumes diameter-2 pruning, needs gamma in [0.5,1], got $gamma")
   // orderExt packs (d_S, d_ext, position) into one Long, 21 bits each
   require(g.n < (1 << 21), s"task graph too large for the miner: ${g.n} vertices")
-  import QuasiClique.ceilGamma
   import java.lang.Long.{bitCount, numberOfTrailingZeros}
 
   private val plus = config.isQuickPlus
@@ -104,19 +112,26 @@ final class Miner(
     }
   }
 
+  // ⌈γ·m⌉ for every m a prune test asks about (all m <= n + 1)
+  private[core] val ceilG = QuasiClique.ceilTable(gamma, n + 1)
+
+  // 2-hop reach of v (its row OR its neighbours' rows), laid out like rows
+  // and filled the first time v branches; reachKnown marks the filled ones
+  private val reachRows  = new Array[Long](n * words)
+  private val reachKnown = new Array[Long](words)
+
   // S and ext of the last computeDegrees; eBits is kept exact while
   // iterativeBounding moves or prunes ext vertices in place
   private val sBits = new Array[Long](words)
   private val eBits = new Array[Long](words)
   private val dS    = new Array[Int](n)
   private val dExt  = new Array[Int](n)
-  // scratch bitsets: a vertex set under test, BFS state, the 2-hop reach
-  // of a vertex, a cover-set candidate and the best cover set
+  // scratch bitsets: a vertex set under test, BFS state, a cover-set
+  // candidate and the best cover set
   private val qBits = new Array[Long](words)
   private val seen  = new Array[Long](words)
   private val front = new Array[Long](words)
   private val next  = new Array[Long](words)
-  private val reach = new Array[Long](words)
   private val cand  = new Array[Long](words)
   private val cover = new Array[Long](words)
   // scratch for bounds (d_S over ext, prefix sums) and for ordering ext
@@ -128,7 +143,7 @@ final class Miner(
   private val frames  = ArrayBuffer.empty[Miner.Frame]
 
   private def frame(depth: Int): Miner.Frame = {
-    while (frames.length <= depth) frames += new Miner.Frame(n)
+    while (frames.length <= depth) frames += new Miner.Frame(n, words)
     frames(depth)
   }
 
@@ -182,7 +197,7 @@ final class Miner(
   private def qBitsValid(m: Int): Boolean = {
     if (m == 0) return false
     if (m == 1) return true
-    val need = ceilGamma(gamma, m - 1)
+    val need = ceilG(m - 1)
     var first = -1
     var k = 0
     while (k < words) {
@@ -256,7 +271,7 @@ final class Miner(
       while (c > 0) { dsExt(i) = d; i += 1; c -= 1 }
       d -= 1
     }
-    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, dsExt, nExt, gamma, quickCompat = !plus, prefix)
+    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, dsExt, nExt, gamma, ceilG, quickCompat = !plus, prefix)
     if (timers ne null) timers.boundNs += System.nanoTime - t0
     v
   }
@@ -275,7 +290,8 @@ final class Miner(
   /** Iterative bound-based pruning. Returns true iff extending S (beyond S
     * itself) is pruned; S and ext are mutated in place (critical-vertex
     * moves grow S, Type-I pruning shrinks ext). Any mandated examination of
-    * G(S) happens internally. S must be non-empty.
+    * G(S) happens internally. S must be non-empty. A false return is a
+    * fixpoint: sBits, eBits, dS and dExt are exact for the final S and ext.
     */
   private def iterativeBounding(f: Miner.Frame): Boolean = {
     val s = f.s
@@ -295,7 +311,7 @@ final class Miner(
           while (!critDone && f.extLen > 0) {
             val t0 = if (timers ne null) System.nanoTime else 0L
             val sLen = f.sLen
-            val need = ceilGamma(gamma, sLen + ls - 1)
+            val need = ceilG(sLen + ls - 1)
             // N_ext(v) of each critical v (Quick: of the first one only) is
             // appended to S in id order and unmarked in eBits, so a vertex
             // moves once
@@ -343,10 +359,10 @@ final class Miner(
             var i = 0
             while (i < sLen) {
               val v = s(i); val ds = dS(v); val de = dExt(v)
-              if (ds + de < ceilGamma(gamma, sLen - 1 + de)) return true   // Thm 4 (ii)
-              if (ds + us < ceilGamma(gamma, sLen + us - 1)) return true   // Thm 6
-              if (ds + de < ceilGamma(gamma, sLen + ls - 1)) return true   // Thm 8
-              if (de == 0 && ds < ceilGamma(gamma, sLen)) thm4i = true     // Thm 4 (i)
+              if (ds + de < ceilG(sLen - 1 + de)) return true   // Thm 4 (ii)
+              if (ds + us < ceilG(sLen + us - 1)) return true   // Thm 6
+              if (ds + de < ceilG(sLen + ls - 1)) return true   // Thm 8
+              if (de == 0 && ds < ceilG(sLen)) thm4i = true     // Thm 4 (i)
               i += 1
             }
             if (thm4i) {
@@ -360,9 +376,9 @@ final class Miner(
             while (i < before) {
               val u = f.ext(i); val ds = dS(u); val de = dExt(u)
               val pruned =
-                ds + de < ceilGamma(gamma, sLen + de) ||          // Thm 3
-                ds + us - 1 < ceilGamma(gamma, sLen + us - 1) ||  // Thm 5
-                ds + de < ceilGamma(gamma, sLen + ls - 1)         // Thm 7
+                ds + de < ceilG(sLen + de) ||          // Thm 3
+                ds + us - 1 < ceilG(sLen + us - 1) ||  // Thm 5
+                ds + de < ceilG(sLen + ls - 1)         // Thm 7
               if (pruned) eBits(u >>> 6) &= ~(1L << u)
               i += 1
             }
@@ -400,7 +416,7 @@ final class Miner(
   private def findCoverSet(f: Miner.Frame): Int = {
     val t0 = if (timers ne null) System.nanoTime else 0L
     val s = f.s; val sLen = f.sLen
-    val cg = ceilGamma(gamma, sLen)
+    val cg = ceilG(sLen)
     var bestLen = 0
     var i = 0
     while (i < f.extLen) {
@@ -444,10 +460,11 @@ final class Miner(
 
   /** Reorders f.ext ascending by (d_S, d_ext), stably — Section 6.2's
     * lookahead-friendly order — with the cover set moved to the tail.
-    * Returns the number of head vertices to examine.
+    * Returns the number of head vertices to examine. `degreesExact` says
+    * the degree state already belongs to f (iterativeBounding's fixpoint).
     */
-  private def orderExt(f: Miner.Frame): Int = {
-    computeDegrees(f)
+  private def orderExt(f: Miner.Frame, degreesExact: Boolean): Int = {
+    if (!degreesExact) computeDegrees(f)
     val ext = f.ext; val len = f.extLen
     var i = 0
     while (i < len) {
@@ -473,14 +490,12 @@ final class Miner(
     }
   }
 
-  /** Does the lookahead rule fire? G(S ∪ ext(from until extLen)) valid =>
-    * output it.
+  /** Does the lookahead rule fire? G(S ∪ ext(from until extLen)), which
+    * is f.rest, valid => output it.
     */
   private def lookahead(f: Miner.Frame, from: Int): Boolean = {
     val t0 = if (timers ne null) System.nanoTime else 0L
-    setBits(qBits, f.ext, from, f.extLen)
-    var i = 0
-    while (i < f.sLen) { val v = f.s(i); qBits(v >>> 6) |= 1L << v; i += 1 }
+    System.arraycopy(f.rest, 0, qBits, 0, words)
     val m  = f.sLen + f.extLen - from
     val ok = qBitsValid(m)
     if (ok) sink(members(qBits, m))
@@ -492,16 +507,24 @@ final class Miner(
     * of v (diameter pruning, P1), written to `out`; returns their count.
     */
   private def diameterShrink(ext: Array[Int], from: Int, to: Int, v: Int, out: Array[Int]): Int = {
-    System.arraycopy(rows, v * words, reach, 0, words)
-    val av = g.adj(v); var i = 0
-    while (i < av.length) {
-      val base = av(i) * words; var k = 0
-      while (k < words) { reach(k) |= rows(base + k); k += 1 }
-      i += 1
+    val rv = v * words
+    if (!has(reachKnown, v)) {
+      System.arraycopy(rows, rv, reachRows, rv, words)
+      val av = g.adj(v); var i = 0
+      while (i < av.length) {
+        val base = av(i) * words; var k = 0
+        while (k < words) { reachRows(rv + k) |= rows(base + k); k += 1 }
+        i += 1
+      }
+      reachKnown(v >>> 6) |= 1L << v
     }
     var len = 0
-    i = from
-    while (i < to) { val u = ext(i); if (has(reach, u)) { out(len) = u; len += 1 }; i += 1 }
+    var i = from
+    while (i < to) {
+      val u = ext(i)
+      if ((reachRows(rv + (u >>> 6)) & (1L << u)) != 0) { out(len) = u; len += 1 }
+      i += 1
+    }
     len
   }
 
@@ -531,17 +554,20 @@ final class Miner(
   def mine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], spawnAt: Int => Boolean,
            spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
     load(0, s0, ext0)
-    search(0, spawnAt, spawn)
+    search(0, spawnAt, spawn, degreesExact = false)
   }
 
   /** Mines from the S and ext held in frame `depth`; children go to frame
-    * `depth + 1`.
+    * `depth + 1`. `degreesExact`: see `orderExt`.
     */
   private def search(depth: Int, spawnAt: Int => Boolean,
-                     spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
+                     spawn: (Array[Int], Array[Int]) => Unit, degreesExact: Boolean): Boolean = {
     val f = frame(depth)
     var qFound = false
-    val nHead = orderExt(f)
+    val nHead = orderExt(f, degreesExact)
+    // orderExt only permutes ext, so sBits ∪ eBits is S ∪ ext
+    var k = 0
+    while (k < words) { f.rest(k) = sBits(k) | eBits(k); k += 1 }
     val c = frame(depth + 1)
     var examined = 0
     while (examined < nHead) {
@@ -550,6 +576,7 @@ final class Miner(
       if (lookahead(f, examined)) return true
       val v = f.ext(examined)
       examined += 1
+      f.rest(v >>> 6) &= ~(1L << v)
       c.extLen = diameterShrink(f.ext, examined, f.extLen, v, c.ext)
       System.arraycopy(f.s, 0, c.s, 0, f.sLen)
       c.s(f.sLen) = v
@@ -563,7 +590,7 @@ final class Miner(
           if (spawnAt(depth)) {
             spawn(java.util.Arrays.copyOf(c.s, c.sLen), java.util.Arrays.copyOf(c.ext, c.extLen))
             checkOutput(c.s, c.sLen)
-          } else if (search(depth + 1, spawnAt, spawn)) qFound = true
+          } else if (search(depth + 1, spawnAt, spawn, degreesExact = true)) qFound = true
           else if (checkOutput(c.s, c.sLen)) qFound = true
         }
       }

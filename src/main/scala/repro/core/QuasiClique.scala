@@ -15,6 +15,9 @@ object QuasiClique {
     if (m <= 0) 0 else math.ceil(gamma * m - 1e-9).toInt
   }
 
+  /** ⌈γ·m⌉ for 0 <= m <= upTo, so hot loops read a table, not `math.ceil`. */
+  def ceilTable(gamma: Double, upTo: Int): Array[Int] = Array.tabulate(upTo + 1)(ceilGamma(gamma, _))
+
   /** ⌊x/γ⌋ with the symmetric epsilon guard (used by the U_S bound). */
   def floorDiv(x: Double, gamma: Double): Int = math.floor(x / gamma + 1e-9).toInt
 

@@ -47,21 +47,21 @@ object TaskSpawn {
     val (sub, oldIds) = GraphOps.induced(g, verts)
     val mask = GraphOps.kCoreMask(sub, k)
     if (!mask(0)) return None
-    val keep = (0 until sub.n).filter(mask).toArray // ascending, so root stays first
+    val keep = GraphOps.indicesOf(mask) // ascending, so root stays first
     val (core, coreIds) = GraphOps.induced(sub, keep)
     Some((core, coreIds.map(oldIds)))
   }
 }
 
 /** One serial mining outcome: all emitted candidate sets (original vertex
-  * ids), the maximal ones after post-processing, and timing.
+  * ids), the maximal ones after post-processing, and timing. Phase times
+  * are in the `PhaseTimers` the caller passed, if any.
   */
 final case class MineOutcome(
     candidates: Seq[Array[Int]],
     maximal: Seq[Array[Int]],
     mineMillis: Double,
     postMillis: Double,
-    timers: PhaseTimers,
     timedOut: Boolean = false) {
   def numResults: Int = candidates.size
   def numMaximal: Int = maximal.size
@@ -77,13 +77,19 @@ final case class MineOutcome(
   */
 object QuickPlus {
 
+  /** Mines all maximal γ-quasi-cliques of `g` with at least `tauSize`
+    * vertices. `timers`, when given, accumulates Table 16's phase times;
+    * by default no phase is timed, so the search does not read the clock
+    * per step. `capMillis` bounds the wall time: a run that reaches it
+    * stops and returns what it found with `timedOut` set.
+    */
   def mineSerial(
       g: LocalGraph,
       gamma: Double,
       tauSize: Int,
       config: MinerConfig = MinerConfig.quickPlus,
       recode: Boolean = true,
-      timers: PhaseTimers = new PhaseTimers,
+      timers: PhaseTimers = null,
       capMillis: Long = Long.MaxValue): MineOutcome = {
     val t0 = System.nanoTime
     val deadline = if (capMillis == Long.MaxValue) Long.MaxValue else t0 + capMillis * 1000000L
@@ -107,7 +113,7 @@ object QuickPlus {
     val t1 = System.nanoTime
     val maximal = Maximality.filterMaximal(out.toSeq)
     val t2 = System.nanoTime
-    MineOutcome(out.toSeq, maximal, (t1 - t0) / 1e6, (t2 - t1) / 1e6, timers, timedOut)
+    MineOutcome(out.toSeq, maximal, (t1 - t0) / 1e6, (t2 - t1) / 1e6, timedOut)
   }
 }
 
@@ -118,7 +124,7 @@ object QuickPlus {
   */
 object Quick {
   def mineSerial(g: LocalGraph, gamma: Double, tauSize: Int,
-                 timers: PhaseTimers = new PhaseTimers,
+                 timers: PhaseTimers = null,
                  capMillis: Long = Long.MaxValue): MineOutcome =
     QuickPlus.mineSerial(g, gamma, tauSize, MinerConfig.quick, recode = false, timers, capMillis)
 }

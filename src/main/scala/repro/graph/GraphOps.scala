@@ -15,27 +15,37 @@ object GraphOps {
   def kCoreMask(g: LocalGraph, k: Int): Array[Boolean] = {
     val alive = Array.fill(g.n)(true)
     val deg   = Array.tabulate(g.n)(g.degree)
-    val queue = new java.util.ArrayDeque[Int]()
+    // a vertex is queued once, when it dies, so n slots suffice
+    val queue = new Array[Int](g.n)
+    var tail = 0
     var v = 0
-    while (v < g.n) { if (deg(v) < k) { alive(v) = false; queue.add(v) }; v += 1 }
-    while (!queue.isEmpty) {
-      val u = queue.poll()
+    while (v < g.n) { if (deg(v) < k) { alive(v) = false; queue(tail) = v; tail += 1 }; v += 1 }
+    var head = 0
+    while (head < tail) {
+      val u = queue(head); head += 1
       val a = g.adj(u); var i = 0
       while (i < a.length) {
         val w = a(i)
-        if (alive(w)) { deg(w) -= 1; if (deg(w) < k) { alive(w) = false; queue.add(w) } }
+        if (alive(w)) { deg(w) -= 1; if (deg(w) < k) { alive(w) = false; queue(tail) = w; tail += 1 } }
         i += 1
       }
     }
     alive
   }
 
-  /** k-core as an induced subgraph with its old-id mapping. */
-  def kCoreSubgraph(g: LocalGraph, k: Int): (LocalGraph, Array[Int]) = {
-    val mask = kCoreMask(g, k)
-    val keep = (0 until g.n).filter(mask).toArray
-    induced(g, keep)
+  /** The indices set in `mask`, ascending. */
+  def indicesOf(mask: Array[Boolean]): Array[Int] = {
+    var c = 0; var i = 0
+    while (i < mask.length) { if (mask(i)) c += 1; i += 1 }
+    val out = new Array[Int](c)
+    c = 0; i = 0
+    while (i < mask.length) { if (mask(i)) { out(c) = i; c += 1 }; i += 1 }
+    out
   }
+
+  /** k-core as an induced subgraph with its old-id mapping. */
+  def kCoreSubgraph(g: LocalGraph, k: Int): (LocalGraph, Array[Int]) =
+    induced(g, indicesOf(kCoreMask(g, k)))
 
   /** Subgraph induced by `vs` (any order, no duplicates), recoded to
     * `0 until vs.length` in the order given. Returns (subgraph, oldIds)

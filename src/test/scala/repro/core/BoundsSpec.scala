@@ -95,6 +95,49 @@ class BoundsSpec extends AnyFunSuite {
     }
   }
 
+  // The miner passes its ⌈γ·m⌉ table (sized to the task, so longer than a
+  // call needs) and a dsExt array with stale slots past nExt; the verdict
+  // must equal the γ-only entry's, and that of a table of exact rational
+  // ceilings, at every paper γ and at products like 0.9 * 10 that sit on an
+  // integer.
+  test("the table-taking compute gives the gamma-only entry's verdict") {
+    val rnd = new Random(42)
+    for (gammaStr <- Seq("0.5", "0.6", "0.75", "0.8", "0.9", "0.95", "1.0")) {
+      val gamma = gammaStr.toDouble
+      val exact = Array.tabulate(41)(m =>
+        (BigDecimal(gammaStr) * m).setScale(0, BigDecimal.RoundingMode.CEILING).toInt)
+      val table = new Miner(GraphGen.erdosRenyi(38, 0.3, 1), gamma, 2, _ => ()).ceilG
+      var onInteger = 0
+      for (_ <- 1 to 400) {
+        val sSize = 1 + rnd.nextInt(12)
+        val nExt  = rnd.nextInt(14)
+        val dsExt = Array.fill(nExt)(rnd.nextInt(sSize + 1)).sorted.reverse
+        val dMinS = rnd.nextInt(sSize)
+        val sumDS = dMinS + (1 until sSize).map(_ => dMinS + rnd.nextInt(sSize - dMinS)).sum
+        val dMinTotal = dMinS + rnd.nextInt(nExt + 1)
+        val padded = dsExt ++ Array.fill(3)(sSize)
+        if ((1 until sSize + nExt).exists(m => (BigDecimal(gammaStr) * m).isWhole)) onInteger += 1
+        for (quickCompat <- Seq(false, true)) {
+          val ref = Bounds.compute(sSize, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat)
+          def withTable(t: Array[Int]) =
+            Bounds.compute(sSize, sumDS, dMinTotal, dMinS, padded, nExt, gamma, t, quickCompat, new Array[Int](nExt + 1))
+          val ctx = s"gamma=$gammaStr |S|=$sSize sumDS=$sumDS dMinTotal=$dMinTotal dMinS=$dMinS dsExt=${dsExt.toSeq} quick=$quickCompat"
+          assert(withTable(table) == ref, ctx)
+          assert(withTable(exact) == ref, ctx)
+        }
+      }
+      assert(onInteger > 0, s"gamma=$gammaStr: no input reached an integer product")
+    }
+  }
+
+  test("the miner's ceil table is ceilGamma for every m <= n + 1") {
+    for (n <- Seq(0, 1, 12, 64, 130); gamma <- Seq(0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0)) {
+      val table = new Miner(GraphGen.erdosRenyi(n, 0.2, n), gamma, 2, _ => ()).ceilG
+      assert(table.length == n + 2, s"n=$n")
+      for (m <- 0 to n + 1) assert(table(m) == QuasiClique.ceilGamma(gamma, m), s"n=$n gamma=$gamma m=$m")
+    }
+  }
+
   test("bounds require non-empty S") {
     intercept[IllegalArgumentException] {
       Bounds.compute(0, 0, 0, 0, Array.emptyIntArray, 0.9, quickCompat = false)

@@ -47,6 +47,22 @@ class MinerCorrectnessSpec extends SparkSpec {
       assert(answers.exists(_.nonEmpty), s"planted(seed=$seed) has no quasi-clique at any gamma/tau")
     }
 
+  // Phase timers are read only when passed; timing must not steer the search.
+  test("mineSerial emits the same candidates, in order, with and without phase timers") {
+    val t15 = GraphGen.gse10158Like()
+    val inputs = Seq((t15.graph, t15.gamma, t15.tauSize)) ++
+      (1 to 4).map(seed => (NearThreshold.graph(seed), 0.7, 5))
+    for ((g, gamma, tau) <- inputs) {
+      val timers  = new PhaseTimers
+      val timed   = QuickPlus.mineSerial(g, gamma, tau, timers = timers)
+      val untimed = QuickPlus.mineSerial(g, gamma, tau)
+      assert(timed.candidates.map(_.toVector) == untimed.candidates.map(_.toVector))
+      assert(timed.maximal.map(_.toVector) == untimed.maximal.map(_.toVector))
+      assert(timers.lookaheadNs + timers.coverNs + timers.criticalNs + timers.boundNs > 0,
+        "passed phase timers must record work")
+    }
+  }
+
   test("Quick+ without recoding gives the same maximal sets") {
     for (seed <- 1 to 4) {
       val g = GraphGen.erdosRenyi(11, 0.6, seed)

@@ -79,6 +79,24 @@ class MinerInternalsSpec extends AnyFunSuite {
     }
   }
 
+  // The miner caches the 2-hop reach row of v the first time v branches;
+  // later calls for v read the cache. One miner, many calls per v, with
+  // different ext subsets and orders and the vs interleaved, so a row
+  // cached for the wrong vertex or word shows up as a wrong filter.
+  for (seed <- 1 to 3) test(s"diameterShrink reads the right cached 2-hop row on repeated calls (seed=$seed)") {
+    for (n <- Seq(63, 64, 65, 130)) {
+      val g = GraphGen.erdosRenyi(n, 3.0 / n, seed * 5 + n)
+      val rnd = new Random(seed * 1000 + n)
+      val miner = newMiner(g, 0.9, 2)
+      val vs = rnd.shuffle((0 until n).toList).take(8)
+      for (_ <- 1 to 6; v <- rnd.shuffle(vs)) {
+        val ext = rnd.shuffle((0 until n).filter(_ != v).toList).take(1 + rnd.nextInt(n - 1))
+        val expect = ext.filter(u => g.hasEdge(u, v) || g.adj(u).exists(w => g.hasEdge(w, v)))
+        assert(miner.diameterShrink(ArrayBuffer.from(ext), v).toSeq == expect, s"n=$n v=$v")
+      }
+    }
+  }
+
   for (seed <- 1 to 4) test(s"recursiveMine == brute force on vertices placed across bitset word boundaries (seed=$seed)") {
     val compact = GraphGen.erdosRenyi(14, 0.6, seed * 31)
     // ids straddling 63/64 and 127/128 in a graph padded with isolated vertices
