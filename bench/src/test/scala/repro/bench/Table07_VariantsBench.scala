@@ -24,15 +24,20 @@ class Table07_VariantsBench extends BenchSpec {
     "USARoad-like"  -> (1000, 200.0))
 
   test("Table 7: performance of A_base, A_split and A_time on all datasets") {
-    table("Table 7: Time (s) / RAM (GB) per variant | #Maximal | postprocessing (s)")
-    row(f"${"Data"}%-15s ${"Tsplit"}%6s ${"Ttime"}%8s | ${"A_base"}%8s ${"A_split"}%8s ${"A_time"}%8s | ${"RAMb"}%6s ${"RAMs"}%6s ${"RAMt"}%6s | ${"#Maximal"}%9s ${"Post(s)"}%8s")
+    table("Table 7: Time (s) / RAM (GB) per variant | #Maximal | postprocessing (s) | rounds, spilled subtasks, round cost O (ms) of A_split/A_time")
+    row(f"${"Data"}%-15s ${"Tsplit"}%6s ${"Ttime"}%8s | ${"A_base"}%8s ${"A_split"}%8s ${"A_time"}%8s | ${"RAMb"}%6s ${"RAMs"}%6s ${"RAMt"}%6s | ${"#Maximal"}%9s ${"Post(s)"}%8s | " +
+      f"${"Rounds"}%7s ${"Spilled"}%13s ${"O(ms)"}%11s")
     for (d <- Datasets.all) {
       val (ts, tt) = tuned(d.name)
       val base  = Engine.run(sc, d.graph, d.gamma, d.tauSize, ABase, EngineConfig(16, tauSplit = ts))
       val split = Engine.run(sc, d.graph, d.gamma, d.tauSize, ASplit, EngineConfig(16, tauSplit = ts))
       val time  = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(tt), EngineConfig(16, tauSplit = ts))
+      val rounds  = s"${split.rounds}/${time.rounds}"
+      val spilled = s"${split.subtasksSpilled}/${time.subtasksSpilled}"
+      val cost    = f"${split.roundCostMillis}%.1f/${time.roundCostMillis}%.1f"
       row(f"${d.name}%-15s $ts%6d ${tt / 1000}%8.3f | ${sec(base.wallMillis)}%8s ${sec(split.wallMillis)}%8s ${sec(time.wallMillis)}%8s | " +
-        f"${gb(base.peakHeapMB)}%6s ${gb(split.peakHeapMB)}%6s ${gb(time.peakHeapMB)}%6s | ${time.numMaximal}%9d ${sec(time.postMillis)}%8s")
+        f"${gb(base.peakHeapMB)}%6s ${gb(split.peakHeapMB)}%6s ${gb(time.peakHeapMB)}%6s | ${time.numMaximal}%9d ${sec(time.postMillis)}%8s | " +
+        f"$rounds%7s $spilled%13s $cost%11s")
       // decomposition must never change the answer
       assert(base.numMaximal == split.numMaximal && split.numMaximal == time.numMaximal,
         s"${d.name}: variants disagree (${base.numMaximal}/${split.numMaximal}/${time.numMaximal})")
@@ -47,7 +52,8 @@ class Table07_VariantsBench extends BenchSpec {
       val base = Engine.run(sc, d.graph, d.gamma, d.tauSize, ABase, EngineConfig(16, tauSplit = ts))
       val time = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(tt), EngineConfig(16, tauSplit = ts))
       row(f"$prefix-like: A_base=${sec(base.wallMillis)}s  A_time=${sec(time.wallMillis)}s  " +
-        f"(speedup ${base.wallMillis / time.wallMillis}%.1fx; A_base max task ${sec(base.maxTaskMillis)}s)")
+        f"(speedup ${base.wallMillis / time.wallMillis}%.1fx; A_base max task ${sec(base.maxTaskMillis)}s; " +
+        f"A_time rounds=${time.rounds} spilled=${time.subtasksSpilled} O=${time.roundCostMillis}%.1fms)")
       assert(time.wallMillis < base.wallMillis,
         s"$prefix: A_time (${time.wallMillis}) must beat A_base (${base.wallMillis})")
     }

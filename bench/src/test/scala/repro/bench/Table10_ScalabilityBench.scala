@@ -19,7 +19,8 @@ class Table10_ScalabilityBench extends BenchSpec {
       val times = workers.map { p =>
         val r = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(100.0),
           EngineConfig(parallelism = p, tauSplit = 50))
-        row(f"workers=$p%2d  time=${sec(r.wallMillis)}%8s  RAM=${gb(r.peakHeapMB)}%6s  rounds=${r.rounds}%3d  tasks=${r.tasksProcessed}%6d")
+        row(f"workers=$p%2d  time=${sec(r.wallMillis)}%8s  RAM=${gb(r.peakHeapMB)}%6s  rounds=${r.rounds}%3d  tasks=${r.tasksProcessed}%6d  " +
+          f"spilled=${r.subtasksSpilled}%6d  O=${r.roundCostMillis}%6.1fms")
         r.wallMillis
       }
       if (prefix == "Patent") {

@@ -17,13 +17,13 @@ class Table12_14_MaterializationBench extends BenchSpec {
   for ((prefix, tableNo, taus) <- sweeps) {
     test(s"Table $tableNo: mining vs subgraph materialization on $prefix-like") {
       val d = Datasets(prefix)
-      table(s"Table $tableNo: ${d.name} — tau_time | Job (s) | Total mining (s) | Total materialization (s) | ratio | subtasks | spilled")
+      table(s"Table $tableNo: ${d.name} — tau_time | Job (s) | Total mining (s) | Total materialization (s) | ratio | subtasks | spilled | round cost O")
       val ratios = taus.map { tt =>
         val r = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(tt),
           EngineConfig(16, tauSplit = 50))
         val ratio = if (r.materializeMillis > 0) r.miningMillis / r.materializeMillis else Double.PositiveInfinity
         val ratioS = if (ratio.isInfinity) "inf" else f"$ratio%.1f"
-        row(f"tau_time=${tt / 1000}%7.3fs  job=${sec(r.wallMillis)}%8s  mine=${sec(r.miningMillis)}%9s  mat=${sec(r.materializeMillis)}%8s  ratio=$ratioS%10s  subtasks=${r.subtasksSpawned}%7d  spilled=${r.subtasksSpilled}%7d")
+        row(f"tau_time=${tt / 1000}%7.3fs  job=${sec(r.wallMillis)}%8s  mine=${sec(r.miningMillis)}%9s  mat=${sec(r.materializeMillis)}%8s  ratio=$ratioS%10s  subtasks=${r.subtasksSpawned}%7d  spilled=${r.subtasksSpilled}%7d  O=${r.roundCostMillis}%6.1fms")
         (ratio, r.subtasksSpawned)
       }
       // smaller tau_time => more decomposition => more materialization share

@@ -53,9 +53,11 @@ final case class ATime(tauTimeMillis: Double) extends Mode {
   * stealing); `true` is the paper's redesign (small subtasks still stay in
   * the local queue, but big ones go to a global queue + stealing ≈ sent back
   * to the driver, sorted big first and dealt round-robin into 2p slices that
-  * idle workers pull for the next round; see `Engine.place`). `tauSplit` is
-  * the paper's τ_split: A_split's threshold and the size from which a task
-  * is big.
+  * idle workers pull for the next round; see `Engine.place`). A big subtask
+  * goes back only once the subtree it belongs to has run for as long as one
+  * more round costs (`Engine.spills`); that cost is measured, not set.
+  * `tauSplit` is the paper's τ_split: A_split's threshold and the size from
+  * which a task is big.
   */
 final case class EngineConfig(
     parallelism: Int,
@@ -79,7 +81,8 @@ final case class EngineResult(
     materializeMillis: Double,
     maxTaskMillis: Double,
     taskStats: Seq[TaskStat],
-    peakHeapMB: Long) {
+    peakHeapMB: Long,
+    roundCostMillis: Double) {
   def numMaximal: Int = maximal.size
 }
 
@@ -103,14 +106,19 @@ private final case class EmitTotals(t: Totals) extends Emit
   * One Spark round = one job in which every partition mines its placed tasks
   * and, depth-first from a local stack, the subtasks they spawn, until both
   * are empty. Only a big subtask (|ext| ≥ τ_split, redesigned engine only)
-  * is spilled back to the driver, which re-places the spilled tasks with
-  * `place` for the next round. The redesigned engine places a round's
-  * tasks in 2p slices that idle cores pull, so a worker that draws a
-  * straggler does not also keep a full p-th of the rest (see `place`).
+  * of a subtree that has already run for O, the measured cost of one more
+  * round, is spilled back to the driver, which re-places the spilled tasks
+  * with `place` for the next round (see `spills` and `roundCost`). A subtree
+  * that finishes within O never pays for a round. The redesigned engine
+  * places a round's tasks in 2p slices that idle cores pull, so a worker
+  * that draws a straggler does not also keep a full p-th of the rest (see
+  * `place`).
   */
 object Engine {
 
-  /** Full job: k-core prune, recode, spawn per-vertex ego tasks, mine. */
+  /** Full job: k-core prune, recode, spawn per-vertex ego tasks, mine. The
+    * spawn job also measures O, the cost of one more round (`roundCost`).
+    */
   def run(sc: SparkContext, g: LocalGraph, gamma: Double, tauSize: Int,
           mode: Mode, conf: EngineConfig): EngineResult = {
     val wall0 = System.nanoTime
@@ -118,40 +126,70 @@ object Engine {
     val k = mg.k // a local, so that the closure below does not capture mg.graph
     execute(sc, mg.graph, mg.ids, gamma, tauSize, mode, conf, wall0) { bc =>
       // round 0, one Spark job: spawn per-vertex ego tasks (Algorithms 4, 6, 7)
-      sc.parallelize(0 until mg.spawnUpper, conf.parallelism).mapPartitions { it =>
+      val job0 = System.nanoTime
+      val emitted = sc.parallelize(0 until mg.spawnUpper, conf.parallelism).mapPartitions { it =>
+        val busy0 = System.nanoTime
         val graph = bc.value
         val out = ArrayBuffer.empty[Emit]
-        var matNs = 0L
         it.foreach { v =>
-          val t0 = System.nanoTime
           TaskSpawn.egoTask(graph, v, k).foreach { case (_, coreIds) =>
             out += EmitTask(QCTask(v, Array(v), coreIds.drop(1)))
           }
-          matNs += System.nanoTime - t0
         }
-        out += EmitTotals(Totals(matNs = matNs))
+        // the partition's busy time, all of it spent materializing ego tasks
+        out += EmitTotals(Totals(matNs = System.nanoTime - busy0))
         out.iterator
       }.collect()
+      val busy = emitted.collect { case EmitTotals(t) => t.matNs }
+      (emitted, roundCost(System.nanoTime - job0, busy.toSeq, math.min(conf.parallelism, sc.defaultParallelism)))
     }
   }
 
   /** Kernel-expansion entry (Tables 9, 11): initial tasks are given directly
     * (S = kernel, ext = its candidate pool), in ids of `gm`, whose vertex v
-    * maps to original id `ids(v)`. No recoding, no per-vertex spawning.
+    * maps to original id `ids(v)`. No recoding, no per-vertex spawning. With
+    * no spawn job there is no round to measure, so O = 0: every big subtask
+    * spills as soon as it is spawned.
     */
   def runFromTasks(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
                    tasks0: Array[QCTask], gamma: Double, tauSize: Int,
                    mode: Mode, conf: EngineConfig): EngineResult =
-    execute(sc, gm, ids, gamma, tauSize, mode, conf, System.nanoTime)(_ => tasks0.map(EmitTask))
+    execute(sc, gm, ids, gamma, tauSize, mode, conf, System.nanoTime)(_ => (tasks0.map(EmitTask), 0L))
 
-  /** Broadcast `gm`, take the initial emission from `initial`, run rounds
-    * until no task is left, and map the results back through `ids`.
+  /** The cost O of one more round, in ns, measured on the spawn job: the
+    * driver's wall time for the job (`jobNanos`, from building its RDD to
+    * `collect` returning) minus the least time its partitions' work can take
+    * on the cores that ran it, max(longest busy time, Σ busy / `cores`),
+    * where a partition's busy time is the time spent inside its task body.
+    * What is left is what any round pays besides its work: job submission,
+    * scheduling, serialization, the result's trip to the driver. Clamped at 0.
+    */
+  private[gthinker] def roundCost(jobNanos: Long, busyNanos: Seq[Long], cores: Int): Long = {
+    val work = if (busyNanos.isEmpty) 0L else math.max(busyNanos.max, busyNanos.sum / cores)
+    math.max(0L, jobNanos - work)
+  }
+
+  /** Whether the redesigned engine sends a freshly spawned subtask back to
+    * the driver: it is big (|ext| ≥ τ_split) and the subtree it belongs to,
+    * i.e. the placed task it descends from and that task's local subtasks,
+    * has run for at least O (`roundCostNanos`). This is ski rental's
+    * break-even rule, with mining on alone as renting and a round as buying:
+    * a subtree that finishes within O never pays for a round, and one that
+    * runs longer has mined alone for no longer than the round it then pays
+    * for. A straggler still shares its big subtasks after O.
+    */
+  private[gthinker] def spills(extSize: Int, tauSplit: Int, subtreeNanos: Long, roundCostNanos: Long): Boolean =
+    extSize >= tauSplit && subtreeNanos >= roundCostNanos
+
+  /** Broadcast `gm`, take the initial emission and the round cost O (ns)
+    * from `initial`, run rounds until no task is left, and map the results
+    * back through `ids`.
     */
   private def execute(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
                       gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig,
-                      wall0: Long)(initial: Broadcast[LocalGraph] => Array[Emit]): EngineResult = {
+                      wall0: Long)(initial: Broadcast[LocalGraph] => (Array[Emit], Long)): EngineResult = {
     if (gm.n == 0)
-      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
+      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB(), 0.0)
     val bc = sc.broadcast(gm)
     val results = ArrayBuffer.empty[Array[Int]]
     val stats   = ArrayBuffer.empty[TaskStat]
@@ -170,12 +208,13 @@ object Engine {
       next.toSeq
     }
 
+    val (emitted0, roundCostNs) = initial(bc)
     var rounds = 0
-    var tasks  = absorb(initial(bc))
+    var tasks  = absorb(emitted0)
     while (tasks.nonEmpty) {
       rounds += 1
       val placed = place(sc, tasks, conf.parallelism, conf.prioritizeBigTasks, conf.tauSplit)(_.ext.length, _.root)
-      tasks = absorb(runRound(placed, bc, gamma, tauSize, mode, conf))
+      tasks = absorb(runRound(placed, bc, gamma, tauSize, mode, conf, roundCostNs))
     }
     bc.destroy()
 
@@ -189,23 +228,31 @@ object Engine {
       maximal, results.length.toLong, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
       rounds, totals.tasks, totals.spawned, totals.spilled,
       totals.mineNs / 1e6, totals.matNs / 1e6, totals.maxTaskNs / 1e6,
-      stats.toSeq, peakHeap)
+      stats.toSeq, peakHeap, roundCostNs / 1e6)
   }
 
   /** One round, one Spark job: every partition materializes and mines its
-    * tasks and the small subtasks they spawn (local-first, LIFO), emitting
-    * results, spilled big subtasks, optional task stats and its totals.
+    * tasks and the subtasks they spawn (local-first, LIFO), emitting results,
+    * spilled subtasks, optional task stats and its totals. A placed task and
+    * its local subtasks, its subtree, are mined back to back, because a
+    * partition takes its next placed task only once the LIFO is empty. In the
+    * redesigned engine a subtask spills when it is big and its subtree has
+    * run for `roundCostNs` since the placed task's materialization began
+    * (`spills`); every other subtask goes on the LIFO.
     */
   private def runRound(placed: RDD[QCTask], bc: Broadcast[LocalGraph], gamma: Double,
-                       tauSize: Int, mode: Mode, conf: EngineConfig): Array[Emit] =
+                       tauSize: Int, mode: Mode, conf: EngineConfig, roundCostNs: Long): Array[Emit] =
     placed.mapPartitions { it =>
       val graph = bc.value
       val out = ArrayBuffer.empty[Emit]
       val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
       var tot = Totals()
+      var subtree0 = 0L // when the placed task of the current subtree started
       while (local.nonEmpty || it.hasNext) {
-        val t = if (local.nonEmpty) local.remove(local.length - 1) else it.next()
+        val isPlaced = local.isEmpty
+        val t = if (isPlaced) it.next() else local.remove(local.length - 1)
         val m0 = System.nanoTime
+        if (isPlaced) subtree0 = m0
         val verts = new Array[Int](t.s.length + t.ext.length)
         System.arraycopy(t.s, 0, verts, 0, t.s.length)
         System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
@@ -220,8 +267,9 @@ object Engine {
         val spawnChild = (s: Array[Int], e: Array[Int]) => {
           spawned += 1
           val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
-          if (conf.prioritizeBigTasks && e.length >= conf.tauSplit) { spilled += 1; out += EmitTask(child) }
-          else local += child
+          if (conf.prioritizeBigTasks && spills(e.length, conf.tauSplit, System.nanoTime - subtree0, roundCostNs)) {
+            spilled += 1; out += EmitTask(child)
+          } else local += child
           ()
         }
         new Miner(sub, gamma, tauSize, sink).mine(

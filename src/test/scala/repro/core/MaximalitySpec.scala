@@ -28,6 +28,21 @@ class MaximalitySpec extends AnyFunSuite {
     assert(out.map(_.toVector).distinct.size == out.size)
   }
 
+  private val bySizeThenLex: Ordering[Vector[Int]] =
+    Ordering.by[Vector[Int], Int](-_.size).orElse(Ordering.Implicits.seqOrdering[Vector, Int])
+
+  for (seed <- 1 to 5) test(s"sparse ids near 80,000: same sets as the naive filter, in size-then-lex order (seed=$seed)") {
+    // ids as sparse as Hyves-like's original ones: 300 of the ids up to 79,999
+    val rnd = new Random(seed)
+    val pool = (79999 +: Array.fill(299)(rnd.nextInt(80000))).distinct
+    val base = Seq.fill(120)(Array.fill(2 + rnd.nextInt(20))(pool(rnd.nextInt(pool.length))).distinct.sorted)
+    // subsets and copies of some sets, so that sets get dominated and deduplicated
+    val fam = rnd.shuffle(base ++ base.take(40).map(a => a.filter(_ => rnd.nextBoolean())).filter(_.nonEmpty) ++
+      base.take(10).map(_.clone))
+    val out = Maximality.filterMaximal(fam).map(_.toVector)
+    assert(out == naive(fam).toSeq.sorted(bySizeThenLex))
+  }
+
   test("duplicates collapse to one") {
     val fam = Seq(Array(1, 2, 3), Array(1, 2, 3), Array(1, 2))
     val out = Maximality.filterMaximal(fam)
@@ -59,5 +74,9 @@ class MaximalitySpec extends AnyFunSuite {
 
   test("empty input") {
     assert(Maximality.filterMaximal(Nil).isEmpty)
+  }
+
+  test("negative vertex ids are rejected") {
+    intercept[IllegalArgumentException](Maximality.filterMaximal(Seq(Array(1, 2), Array(-3, 4))))
   }
 }

@@ -116,7 +116,7 @@ class EngineSpec extends SparkSpec {
     }
   }
 
-  test("redesigned engine spills only subtasks with |ext| >= tau_split") {
+  test("redesigned engine keeps subtrees that finish within a round's cost local") {
     val g = GraphGen.erdosRenyi(40, 0.35, 9)
     val truth = serialTruth(g, 0.7, 5)
     val base = Engine.run(spark.sparkContext, g, 0.7, 5, ABase, EngineConfig(2))
@@ -125,15 +125,54 @@ class EngineSpec extends SparkSpec {
     assert(local.subtasksSpawned > 0)
     assert(local.subtasksSpilled == 0)
     assert(local.rounds == 1)
-    // tau_split = 2: the big subtasks go back to the driver for another round
-    val spill = Engine.run(spark.sparkContext, g, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = 2))
-    assert(spill.subtasksSpilled > 0)
-    assert(spill.rounds > 1)
-    for (r <- Seq(local, spill)) {
-      assert(r.subtasksSpilled <= r.subtasksSpawned)
+    // tau_split = 2: the subtasks are big, but each subtree finishes within O
+    val quick = Engine.run(spark.sparkContext, g, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = 2))
+    assert(quick.roundCostMillis > 0.0)
+    assert(quick.subtasksSpawned > 0)
+    assert(quick.subtasksSpilled == 0)
+    assert(quick.rounds == 1)
+    for (r <- Seq(local, quick)) {
       assert(r.tasksProcessed - r.subtasksSpawned == base.tasksProcessed)
       assert(canonSet(r.maximal) == truth)
     }
+  }
+
+  test("redesigned engine spills only subtasks with |ext| >= tau_split") {
+    val g = GraphGen.erdosRenyi(50, 0.4, 3)
+    val truth = serialTruth(g, 0.6, 5)
+    val base = Engine.run(spark.sparkContext, g, 0.6, 5, ABase, EngineConfig(2))
+    // tau_split = 2: once a subtree has run for O, its big subtasks go back
+    // to the driver for another round
+    val spill = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2, tauSplit = 2))
+    assert(spill.subtasksSpilled > 0)
+    assert(spill.rounds > 1)
+    assert(spill.subtasksSpilled <= spill.subtasksSpawned)
+    assert(spill.tasksProcessed - spill.subtasksSpawned == base.tasksProcessed)
+    assert(canonSet(spill.maximal) == truth)
+  }
+
+  test("spill decision: big subtasks of subtrees that have run for the round cost") {
+    val o = 15000000L // O = 15 ms
+    assert(Engine.spills(extSize = 60, tauSplit = 50, subtreeNanos = o, roundCostNanos = o))
+    assert(Engine.spills(60, 50, 3 * o, o))
+    assert(Engine.spills(50, 50, o + 1, o))      // |ext| = tau_split is big
+    assert(!Engine.spills(49, 50, 3 * o, o))     // small: stays local however long the subtree ran
+    assert(!Engine.spills(60, 50, o - 1, o))     // subtree younger than O: stays local
+    assert(!Engine.spills(60, 50, 0L, o))
+    // O = 0 (no spawn job to measure): every big subtask spills at once
+    assert(Engine.spills(60, 50, 0L, 0L))
+    assert(!Engine.spills(49, 50, 0L, 0L))
+  }
+
+  test("round cost is the spawn job's wall time beyond its partitions' least possible work time") {
+    val ms = 1000000L
+    // 4 partitions on 4 cores: the longest partition bounds the work
+    assert(Engine.roundCost(30 * ms, Seq(2 * ms, 8 * ms, 4 * ms, 2 * ms), cores = 4) == 22 * ms)
+    // 4 equal partitions on 2 cores: they run in two waves
+    assert(Engine.roundCost(30 * ms, Seq.fill(4)(5 * ms), cores = 2) == 20 * ms)
+    // clamped at zero, and no partitions means all of the wall is overhead
+    assert(Engine.roundCost(3 * ms, Seq(5 * ms), cores = 1) == 0L)
+    assert(Engine.roundCost(7 * ms, Nil, cores = 4) == 7 * ms)
   }
 
   test("bad parameters are rejected up front") {
