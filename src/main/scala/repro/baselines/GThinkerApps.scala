@@ -1,6 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.SparkContext
+import org.apache.spark.{SparkContext, TaskContext}
+import org.apache.spark.broadcast.Broadcast
 import repro.graph.LocalGraph
 import repro.gthinker.Engine
 
@@ -19,38 +20,65 @@ object GThinkerApps {
   private def placedVertices(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean) =
     Engine.place(sc, 0 until g.n, p, prioritizeBig, bigFrom = 0)(g.degree, v => v)
 
+  /** One Spark job: the app's partition body (a named class, as in every
+    * engine job; see `Engine`) runs on the placed vertex tasks, and the
+    * driver reduces the per-partition values.
+    */
   private def run(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean)
-                 (perVertex: (LocalGraph, Int) => Long): AppResult = {
+                 (body: Broadcast[LocalGraph] => VertexTasks, reduce: (Long, Long) => Long): AppResult = {
     val t0 = System.nanoTime
     val bc = sc.broadcast(g)
-    val total = placedVertices(sc, g, p, prioritizeBig).mapPartitions { it =>
-      val graph = bc.value
-      var s = 0L
-      it.foreach(v => s += perVertex(graph, v))
-      Iterator.single(s)
-    }.fold(0L)(_ + _)
+    val value = sc.runJob(placedVertices(sc, g, p, prioritizeBig), body(bc)).reduce(reduce)
     bc.destroy()
-    AppResult(total, (System.nanoTime - t0) / 1e6)
+    AppResult(value, (System.nanoTime - t0) / 1e6)
   }
 
   /** TC: each vertex v counts edges among its neighbors > v. */
   def triangleCount(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean = true): AppResult =
-    run(sc, g, p, prioritizeBig) { (graph, v) =>
+    run(sc, g, p, prioritizeBig)(new TriangleTasks(_), _ + _)
+
+  /** GM: count 4-cliques whose smallest vertex is v. */
+  def fourCliqueCount(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean = true): AppResult =
+    run(sc, g, p, prioritizeBig)(new FourCliqueTasks(_), _ + _)
+
+  /** MCF: each vertex task branch-and-bounds the largest clique whose
+    * smallest vertex is v; the global answer is the max over tasks.
+    */
+  def maxClique(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean = true): AppResult =
+    run(sc, g, p, prioritizeBig)(new MaxCliqueTasks(_), math.max)
+}
+
+/** One app's partition body: the value of the partition's vertex tasks. */
+private abstract class VertexTasks(bc: Broadcast[LocalGraph])
+    extends ((TaskContext, Iterator[Int]) => Long) with Serializable {
+  final def apply(ctx: TaskContext, vertices: Iterator[Int]): Long = value(bc.value, vertices)
+  protected def value(graph: LocalGraph, vertices: Iterator[Int]): Long
+}
+
+/** `GThinkerApps.triangleCount`'s partition body. */
+private final class TriangleTasks(bc: Broadcast[LocalGraph]) extends VertexTasks(bc) {
+  protected def value(graph: LocalGraph, vertices: Iterator[Int]): Long = {
+    var c = 0L
+    vertices.foreach { v =>
       val ns = graph.adj(v).filter(_ > v)
-      var c = 0L; var i = 0
+      var i = 0
       while (i < ns.length) {
         var j = i + 1
         while (j < ns.length) { if (graph.hasEdge(ns(i), ns(j))) c += 1; j += 1 }
         i += 1
       }
-      c
     }
+    c
+  }
+}
 
-  /** GM: count 4-cliques whose smallest vertex is v. */
-  def fourCliqueCount(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean = true): AppResult =
-    run(sc, g, p, prioritizeBig) { (graph, v) =>
+/** `GThinkerApps.fourCliqueCount`'s partition body. */
+private final class FourCliqueTasks(bc: Broadcast[LocalGraph]) extends VertexTasks(bc) {
+  protected def value(graph: LocalGraph, vertices: Iterator[Int]): Long = {
+    var c = 0L
+    vertices.foreach { v =>
       val ns = graph.adj(v).filter(_ > v)
-      var c = 0L; var i = 0
+      var i = 0
       while (i < ns.length) {
         var j = i + 1
         while (j < ns.length) {
@@ -65,34 +93,28 @@ object GThinkerApps {
         }
         i += 1
       }
-      c
     }
+    c
+  }
+}
 
-  /** MCF: each vertex task branch-and-bounds the largest clique whose
-    * smallest vertex is v; the global answer is the max over tasks.
-    */
-  def maxClique(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean = true): AppResult = {
-    val t0 = System.nanoTime
-    val bc = sc.broadcast(g)
-    val best = placedVertices(sc, g, p, prioritizeBig).mapPartitions { it =>
-      val graph = bc.value
-      var localBest = 0
-      def grow(size: Int, cand: Array[Int]): Unit = {
-        if (size > localBest) localBest = size
-        if (size + cand.length <= localBest) return
-        var i = 0
-        while (i < cand.length) {
-          if (size + cand.length - i > localBest) {
-            val v = cand(i)
-            grow(size + 1, cand.drop(i + 1).filter(graph.hasEdge(v, _)))
-          }
-          i += 1
+/** `GThinkerApps.maxClique`'s partition body: the largest clique its tasks found. */
+private final class MaxCliqueTasks(bc: Broadcast[LocalGraph]) extends VertexTasks(bc) {
+  protected def value(graph: LocalGraph, vertices: Iterator[Int]): Long = {
+    var localBest = 0
+    def grow(size: Int, cand: Array[Int]): Unit = {
+      if (size > localBest) localBest = size
+      if (size + cand.length <= localBest) return
+      var i = 0
+      while (i < cand.length) {
+        if (size + cand.length - i > localBest) {
+          val v = cand(i)
+          grow(size + 1, cand.drop(i + 1).filter(graph.hasEdge(v, _)))
         }
+        i += 1
       }
-      it.foreach { v => grow(1, graph.adj(v).filter(_ > v)) }
-      Iterator.single(localBest)
-    }.fold(0)(math.max)
-    bc.destroy()
-    AppResult(best.toLong, (System.nanoTime - t0) / 1e6)
+    }
+    vertices.foreach { v => grow(1, graph.adj(v).filter(_ > v)) }
+    localBest
   }
 }

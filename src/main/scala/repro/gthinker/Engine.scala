@@ -1,6 +1,6 @@
 package repro.gthinker
 
-import org.apache.spark.SparkContext
+import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import repro.core._
@@ -101,6 +101,86 @@ private final case class EmitTask(t: QCTask) extends Emit
 private final case class EmitStat(s: TaskStat) extends Emit
 private final case class EmitTotals(t: Totals) extends Emit
 
+/** The spawn job's partition body (round 0, Algorithms 4, 6, 7): one ego
+  * task per vertex of the partition's slice of [0, spawnUpper), then the
+  * partition's totals, whose `matNs` is its whole busy time.
+  */
+private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
+    extends ((TaskContext, Iterator[Int]) => Array[Emit]) with Serializable {
+  def apply(ctx: TaskContext, it: Iterator[Int]): Array[Emit] = {
+    val busy0 = System.nanoTime
+    val graph = bc.value
+    val out = ArrayBuffer.empty[Emit]
+    it.foreach { v =>
+      TaskSpawn.egoTask(graph, v, k).foreach { case (_, coreIds) =>
+        out += EmitTask(QCTask(v, Array(v), coreIds.drop(1)))
+      }
+    }
+    out += EmitTotals(Totals(matNs = System.nanoTime - busy0))
+    out.toArray
+  }
+}
+
+/** A round's partition body: materialize and mine the partition's placed
+  * tasks and the subtasks they spawn (local-first, LIFO), emitting results,
+  * spilled subtasks, optional task stats and the partition's totals. A placed
+  * task and its local subtasks, its subtree, are mined back to back, because
+  * the next placed task is taken only once the LIFO is empty. In the
+  * redesigned engine a subtask spills when it is big and its subtree has run
+  * for `roundCostNs` since the placed task's materialization began
+  * (`Engine.spills`); every other subtask goes on the LIFO.
+  */
+private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize: Int,
+                              mode: Mode, conf: EngineConfig, roundCostNs: Long)
+    extends ((TaskContext, Iterator[QCTask]) => Array[Emit]) with Serializable {
+  def apply(ctx: TaskContext, it: Iterator[QCTask]): Array[Emit] = {
+    val graph = bc.value
+    val out = ArrayBuffer.empty[Emit]
+    val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
+    var tot = Totals()
+    var subtree0 = 0L // when the placed task of the current subtree started
+    while (local.nonEmpty || it.hasNext) {
+      val isPlaced = local.isEmpty
+      val t = if (isPlaced) it.next() else local.remove(local.length - 1)
+      val m0 = System.nanoTime
+      if (isPlaced) subtree0 = m0
+      val verts = new Array[Int](t.s.length + t.ext.length)
+      System.arraycopy(t.s, 0, verts, 0, t.s.length)
+      System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
+      val (sub, oldIds) = GraphOps.induced(graph, verts)
+      val matNs = System.nanoTime - m0
+      val feats = if (conf.recordTaskStats) GraphOps.features(sub) else null
+      var spawned, spilled = 0L
+      val t1 = System.nanoTime
+      val sink = (arr: Array[Int]) => {
+        out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
+      }
+      val spawnChild = (s: Array[Int], e: Array[Int]) => {
+        spawned += 1
+        val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
+        if (conf.prioritizeBigTasks && Engine.spills(e.length, conf.tauSplit, System.nanoTime - subtree0, roundCostNs)) {
+          spilled += 1; out += EmitTask(child)
+        } else local += child
+        ()
+      }
+      new Miner(sub, gamma, tauSize, sink).mine(
+        ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until verts.length),
+        mode.spawnRule(t.ext.length, conf.tauSplit, t1), spawnChild)
+      val dt = System.nanoTime - t1
+      tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
+      if (feats != null)
+        out += EmitStat(TaskStat(t.root, feats.nV, feats.nE, feats.maxDeg, feats.avgDeg, feats.coreNum, dt))
+    }
+    out += EmitTotals(tot)
+    out.toArray
+  }
+}
+
+/** `Engine.place`'s flatMap body: a bucket's items, in order. */
+private final class Unbucket[T] extends (ArrayBuffer[T] => ArrayBuffer[T]) with Serializable {
+  def apply(bucket: ArrayBuffer[T]): ArrayBuffer[T] = bucket
+}
+
 /** The redesigned G-thinker execution engine on Spark.
   *
   * One Spark round = one job in which every partition mines its placed tasks
@@ -113,6 +193,20 @@ private final case class EmitTotals(t: Totals) extends Emit
   * places a round's tasks in 2p slices that idle cores pull, so a worker
   * that draws a straggler does not also keep a full p-th of the rest (see
   * `place`).
+  *
+  * Rule: no lambda, `collect` or `fold` in an engine job. Every job hands
+  * Spark only instances of named serializable classes (`SpawnBody`,
+  * `RoundBody`, `Unbucket`) and is submitted with the `runJob` overload that
+  * takes a `(TaskContext, Iterator) => U`. Spark's closure cleaner skips
+  * named classes, but for each lambda it reads the class file that declares
+  * it: `Engine$.class` for the engine's own lambdas, and `RDD.class` (184 KB)
+  * plus `SparkContext.class` for `collect`, `fold` and the `Iterator => U`
+  * overload of `runJob`, which all wrap the job's function in lambdas of
+  * their own. On a warm `local[4]` context on 4 vCPUs, an empty
+  * `mapPartitions(lambda).collect()` job took 15.8 ms against 7.2 ms for
+  * `runJob` with a named `(TaskContext, Iterator) => U` (medians of 100
+  * jobs); a named function given to the `Iterator => U` overload took 10.7 ms.
+  * The engine paid that on the driver in its spawn job and in every round.
   */
 object Engine {
 
@@ -123,23 +217,10 @@ object Engine {
           mode: Mode, conf: EngineConfig): EngineResult = {
     val wall0 = System.nanoTime
     val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = true)
-    val k = mg.k // a local, so that the closure below does not capture mg.graph
     execute(sc, mg.graph, mg.ids, gamma, tauSize, mode, conf, wall0) { bc =>
       // round 0, one Spark job: spawn per-vertex ego tasks (Algorithms 4, 6, 7)
       val job0 = System.nanoTime
-      val emitted = sc.parallelize(0 until mg.spawnUpper, conf.parallelism).mapPartitions { it =>
-        val busy0 = System.nanoTime
-        val graph = bc.value
-        val out = ArrayBuffer.empty[Emit]
-        it.foreach { v =>
-          TaskSpawn.egoTask(graph, v, k).foreach { case (_, coreIds) =>
-            out += EmitTask(QCTask(v, Array(v), coreIds.drop(1)))
-          }
-        }
-        // the partition's busy time, all of it spent materializing ego tasks
-        out += EmitTotals(Totals(matNs = System.nanoTime - busy0))
-        out.iterator
-      }.collect()
+      val emitted = emits(sc.parallelize(0 until mg.spawnUpper, conf.parallelism), new SpawnBody(bc, mg.k))
       val busy = emitted.collect { case EmitTotals(t) => t.matNs }
       (emitted, roundCost(System.nanoTime - job0, busy.toSeq, math.min(conf.parallelism, sc.defaultParallelism)))
     }
@@ -158,7 +239,7 @@ object Engine {
 
   /** The cost O of one more round, in ns, measured on the spawn job: the
     * driver's wall time for the job (`jobNanos`, from building its RDD to
-    * `collect` returning) minus the least time its partitions' work can take
+    * `runJob` returning) minus the least time its partitions' work can take
     * on the cores that ran it, max(longest busy time, Σ busy / `cores`),
     * where a partition's busy time is the time spent inside its task body.
     * What is left is what any round pays besides its work: job submission,
@@ -214,7 +295,7 @@ object Engine {
     while (tasks.nonEmpty) {
       rounds += 1
       val placed = place(sc, tasks, conf.parallelism, conf.prioritizeBigTasks, conf.tauSplit)(_.ext.length, _.root)
-      tasks = absorb(runRound(placed, bc, gamma, tauSize, mode, conf, roundCostNs))
+      tasks = absorb(emits(placed, new RoundBody(bc, gamma, tauSize, mode, conf, roundCostNs)))
     }
     bc.destroy()
 
@@ -230,59 +311,6 @@ object Engine {
       totals.mineNs / 1e6, totals.matNs / 1e6, totals.maxTaskNs / 1e6,
       stats.toSeq, peakHeap, roundCostNs / 1e6)
   }
-
-  /** One round, one Spark job: every partition materializes and mines its
-    * tasks and the subtasks they spawn (local-first, LIFO), emitting results,
-    * spilled subtasks, optional task stats and its totals. A placed task and
-    * its local subtasks, its subtree, are mined back to back, because a
-    * partition takes its next placed task only once the LIFO is empty. In the
-    * redesigned engine a subtask spills when it is big and its subtree has
-    * run for `roundCostNs` since the placed task's materialization began
-    * (`spills`); every other subtask goes on the LIFO.
-    */
-  private def runRound(placed: RDD[QCTask], bc: Broadcast[LocalGraph], gamma: Double,
-                       tauSize: Int, mode: Mode, conf: EngineConfig, roundCostNs: Long): Array[Emit] =
-    placed.mapPartitions { it =>
-      val graph = bc.value
-      val out = ArrayBuffer.empty[Emit]
-      val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
-      var tot = Totals()
-      var subtree0 = 0L // when the placed task of the current subtree started
-      while (local.nonEmpty || it.hasNext) {
-        val isPlaced = local.isEmpty
-        val t = if (isPlaced) it.next() else local.remove(local.length - 1)
-        val m0 = System.nanoTime
-        if (isPlaced) subtree0 = m0
-        val verts = new Array[Int](t.s.length + t.ext.length)
-        System.arraycopy(t.s, 0, verts, 0, t.s.length)
-        System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
-        val (sub, oldIds) = GraphOps.induced(graph, verts)
-        val matNs = System.nanoTime - m0
-        val feats = if (conf.recordTaskStats) GraphOps.features(sub) else null
-        var spawned, spilled = 0L
-        val t1 = System.nanoTime
-        val sink = (arr: Array[Int]) => {
-          out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
-        }
-        val spawnChild = (s: Array[Int], e: Array[Int]) => {
-          spawned += 1
-          val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
-          if (conf.prioritizeBigTasks && spills(e.length, conf.tauSplit, System.nanoTime - subtree0, roundCostNs)) {
-            spilled += 1; out += EmitTask(child)
-          } else local += child
-          ()
-        }
-        new Miner(sub, gamma, tauSize, sink).mine(
-          ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until verts.length),
-          mode.spawnRule(t.ext.length, conf.tauSplit, t1), spawnChild)
-        val dt = System.nanoTime - t1
-        tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
-        if (feats != null)
-          out += EmitStat(TaskStat(t.root, feats.nV, feats.nE, feats.maxDeg, feats.avgDeg, feats.coreNum, dt))
-      }
-      out += EmitTotals(tot)
-      out.iterator
-    }.collect()
 
   /** Deal `items` into `slices` buckets. With `prioritizeBig` (the
     * redesigned engine: global queue + stealing), items with size >=
@@ -320,8 +348,14 @@ object Engine {
   def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, prioritizeBig: Boolean, bigFrom: Int)
                         (size: T => Int, owner: T => Int): RDD[T] = {
     val slices = if (prioritizeBig && sc.defaultParallelism <= p) PulledSlicesPerWorker * p else p
-    sc.parallelize(buckets(items, slices, prioritizeBig, bigFrom)(size, owner).toSeq, slices).flatMap(b => b)
+    sc.parallelize(buckets(items, slices, prioritizeBig, bigFrom)(size, owner).toSeq, slices).flatMap(new Unbucket[T])
   }
+
+  /** One Spark job: `body` runs on every partition of `rdd`, and the driver
+    * concatenates what the partitions emitted, in partition order.
+    */
+  private def emits[T](rdd: RDD[T], body: (TaskContext, Iterator[T]) => Array[Emit]): Array[Emit] =
+    Array.concat(rdd.sparkContext.runJob(rdd, body).toSeq: _*)
 
   private def usedHeapMB(): Long = {
     val rt = Runtime.getRuntime

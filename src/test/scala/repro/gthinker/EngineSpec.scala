@@ -1,8 +1,11 @@
 package repro.gthinker
 
-import org.apache.spark.ShuffleDependency
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.{ListenerBusSync, ShuffleDependency}
 import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
+import repro.baselines.GThinkerApps
 import repro.core.{QuickPlus, BruteForce}
 import repro.graph.{GraphGen, LocalGraph, NearThreshold}
 
@@ -117,7 +120,9 @@ class EngineSpec extends SparkSpec {
   }
 
   test("redesigned engine keeps subtrees that finish within a round's cost local") {
-    val g = GraphGen.erdosRenyi(40, 0.35, 9)
+    // ER(36, 0.35, 9): hundreds of subtasks, the longest task a few ms, far
+    // below any measured O, even in a JVM's first, not yet compiled runs
+    val g = GraphGen.erdosRenyi(36, 0.35, 9)
     val truth = serialTruth(g, 0.7, 5)
     val base = Engine.run(spark.sparkContext, g, 0.7, 5, ABase, EngineConfig(2))
     // tau_split above every |ext|: every subtask is small and stays local
@@ -149,6 +154,46 @@ class EngineSpec extends SparkSpec {
     assert(spill.subtasksSpilled <= spill.subtasksSpawned)
     assert(spill.tasksProcessed - spill.subtasksSpawned == base.tasksProcessed)
     assert(canonSet(spill.maximal) == truth)
+  }
+
+  /** The value of `body` and the number of Spark jobs started while it ran. */
+  private def withJobCount[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val started = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = started.incrementAndGet()
+    }
+    ListenerBusSync.waitUntilEmpty(sc) // earlier jobs' events are not counted
+    sc.addSparkListener(listener)
+    try {
+      val a = body
+      ListenerBusSync.waitUntilEmpty(sc)
+      (a, started.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("Engine.run starts rounds + 1 Spark jobs, runFromTasks rounds, a G-thinker app 1") {
+    val sc = spark.sparkContext
+    val (base, baseJobs) = withJobCount(Engine.run(sc, GraphGen.erdosRenyi(40, 0.3, 7), 0.7, 5, ABase, EngineConfig(4)))
+    assert(base.rounds == 1)
+    assert(baseJobs == base.rounds + 1)
+    // subtrees of ER(50, 0.4, 3) outlast O, so A_time(0) takes several rounds
+    val (time, timeJobs) = withJobCount(
+      Engine.run(sc, GraphGen.erdosRenyi(50, 0.4, 3), 0.6, 5, ATime(0.0), EngineConfig(2, tauSplit = 2)))
+    assert(time.rounds > 1)
+    assert(timeJobs == time.rounds + 1)
+    // one task per vertex v, ext = the vertices above v; O = 0, so every big
+    // subtask spills and there are several rounds
+    val g = GraphGen.erdosRenyi(40, 0.35, 9)
+    val tasks = Array.tabulate(g.n)(v => QCTask(v, Array(v), (v + 1 until g.n).toArray))
+    val (kernel, kernelJobs) = withJobCount(
+      Engine.runFromTasks(sc, g, Array.range(0, g.n), tasks, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = 2)))
+    assert(kernel.rounds > 1)
+    assert(kernelJobs == kernel.rounds)
+    assert(canonSet(kernel.maximal) == serialTruth(g, 0.7, 5))
+    val (tc, tcJobs) = withJobCount(GThinkerApps.triangleCount(sc, g, 4))
+    assert(tc.value > 0)
+    assert(tcJobs == 1)
   }
 
   test("spill decision: big subtasks of subtrees that have run for the round cost") {
