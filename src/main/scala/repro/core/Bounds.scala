@@ -21,7 +21,8 @@ object Bounds {
   /** Inputs: |S|, Σ_{v∈S} d_S(v), min over S of d_S(v)+d_ext(v), min over S
     * of d_S(v), and the d_S(u) values of ext sorted non-increasing.
     * `quickCompat` disables the boundary-case prunes that only Quick+ has
-    * (falling back to the loosest feasible bound instead).
+    * (falling back to the loosest feasible bound instead). This is the
+    * reference form; the miner calls the one below.
     */
   def compute(
       sSize: Int,
@@ -30,31 +31,31 @@ object Bounds {
       dMinS: Int,
       dSExtDesc: Array[Int],
       gamma: Double,
-      quickCompat: Boolean): Verdict =
-    compute(sSize, sumDS, dMinTotal, dMinS, dSExtDesc, dSExtDesc.length, gamma,
-      QuasiClique.ceilTable(gamma, sSize + dSExtDesc.length), quickCompat, new Array[Int](dSExtDesc.length + 1))
+      quickCompat: Boolean): Verdict = {
+    val nExt = dSExtDesc.length
+    val prefix = new Array[Int](nExt + 1)
+    var i = 0
+    while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
+    compute(sSize, sumDS, dMinTotal, dMinS, prefix, nExt, gamma,
+      QuasiClique.ceilTable(gamma, sSize + nExt), quickCompat)
+  }
 
-  /** As above over the first `nExt` values of `dSExtDesc`. `ceil(m)` must
-    * be ⌈γ·m⌉ for m < sSize + nExt (see `QuasiClique.ceilTable`); γ itself
-    * is still needed for ⌊d/γ⌋. `prefix` (at least nExt + 1 slots) is
-    * scratch, so the miner's hot path allocates nothing here.
+  /** As above, with the d_S values of ext given as Lemma 2's prefix sums:
+    * `prefix(t)` is the sum of the t largest, for 0 <= t <= nExt. `ceil(m)`
+    * must be ⌈γ·m⌉ for m < sSize + nExt (see `QuasiClique.ceilTable`); γ
+    * itself is still needed for ⌊d/γ⌋.
     */
   def compute(
       sSize: Int,
       sumDS: Int,
       dMinTotal: Int,
       dMinS: Int,
-      dSExtDesc: Array[Int],
+      prefix: Array[Int],
       nExt: Int,
       gamma: Double,
       ceil: Array[Int],
-      quickCompat: Boolean,
-      prefix: Array[Int]): Verdict = {
+      quickCompat: Boolean): Verdict = {
     require(sSize > 0, "bounds need a non-empty S")
-    // prefix sums of the top-t d_S(u) values (Lemma 2)
-    prefix(0) = 0
-    var i = 0
-    while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
 
     def lemma2Holds(t: Int): Boolean =
       sumDS + prefix(t) >= sSize * ceil(sSize + t - 1)

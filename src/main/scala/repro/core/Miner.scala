@@ -25,17 +25,26 @@ object Miner {
   /** The spawn rule of plain recursion (A_base): no child becomes a task. */
   val NeverSpawn: Int => Boolean = _ => false
 
-  /** One search node's S and ext: the first `sLen` / `extLen` slots of
-    * arrays sized to the task graph, reused by every node at one depth.
-    * `rest` is the bitset of S ∪ ext(examined until extLen) while the node
-    * branches: the set its next lookahead tests.
+  /** One search node's bounding state: S and ext in the first `sLen` /
+    * `extLen` slots of arrays sized to the task graph, their bitsets, and
+    * d_S and d_ext of every vertex of S ∪ ext. A child's state is derived
+    * from its parent's frame, and `iterativeBounding` keeps it exact as it
+    * moves and prunes vertices. d_ext of the ext vertices is filled only
+    * once a bound check passes (`extDegrees`). `rest` is S ∪
+    * ext(examined until extLen) while the node branches: the set its next
+    * lookahead tests. Every node at one depth reuses one frame.
     */
   private final class Frame(n: Int, words: Int) {
-    val s    = new Array[Int](n)
-    val ext  = new Array[Int](n)
-    val rest = new Array[Long](words)
+    val s     = new Array[Int](n)
+    val ext   = new Array[Int](n)
+    val sBits = new Array[Long](words)
+    val eBits = new Array[Long](words)
+    val rest  = new Array[Long](words)
+    val dS    = new Array[Int](n)
+    val dExt  = new Array[Int](n)
     var sLen   = 0
     var extLen = 0
+    var extDegrees = false
   }
 }
 
@@ -72,9 +81,11 @@ final class PhaseTimers extends Serializable {
   *
   * The adjacency is held as bitset rows (n²/8 bytes), so degrees into S and
   * ext, the validity checks, the cover set (P7) and the diameter shrink (P1)
-  * are word-parallel ANDs, ORs and popcounts. S and ext of each search depth
-  * live in primitive arrays reused across siblings, so the search itself
-  * allocates only what it emits or spawns.
+  * are word-parallel ANDs, ORs and popcounts. Each search depth keeps one
+  * frame of primitive arrays, reused across siblings: S, ext, their bitsets
+  * and their degrees, derived from the parent's frame. So the search
+  * allocates only what it emits or spawns, and only the task root computes
+  * its degrees from scratch.
   *
   * Every candidate result is emitted through `sink` (vertex ids of `g`,
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
@@ -120,27 +131,29 @@ final class Miner(
   private val reachRows  = new Array[Long](n * words)
   private val reachKnown = new Array[Long](words)
 
-  // S and ext of the last computeDegrees; eBits is kept exact while
-  // iterativeBounding moves or prunes ext vertices in place
-  private val sBits = new Array[Long](words)
-  private val eBits = new Array[Long](words)
-  private val dS    = new Array[Int](n)
-  private val dExt  = new Array[Int](n)
   // scratch bitsets: a vertex set under test, BFS state, a cover-set
-  // candidate and the best cover set
+  // candidate, the best cover set and the low-d_S vertices of S
   private val qBits = new Array[Long](words)
   private val seen  = new Array[Long](words)
   private val front = new Array[Long](words)
   private val next  = new Array[Long](words)
   private val cand  = new Array[Long](words)
   private val cover = new Array[Long](words)
-  // scratch for bounds (d_S over ext, prefix sums) and for ordering ext
-  private val dsExt   = new Array[Int](n)
+  private val low   = new Array[Long](words)
+  // scratch for bounds (d_S histogram, Lemma 2 prefix sums), Type-I
+  // removals and ordering ext
   private val dsCount = new Array[Int](n + 1)
   private val prefix  = new Array[Int](n + 1)
+  private val removed = new Array[Int](n)
   private val keys    = new Array[Long](n)
   private val extCopy = new Array[Int](n)
   private val frames  = ArrayBuffer.empty[Miner.Frame]
+
+  /** Checked mode (tests only): after every derivation or update of a
+    * frame's state, compare it with a full `computeDegrees`.
+    */
+  private[core] var checkState = false
+  private lazy val checkFrame = new Miner.Frame(n, words)
 
   private def frame(depth: Int): Miner.Frame = {
     while (frames.length <= depth) frames += new Miner.Frame(n, words)
@@ -148,7 +161,8 @@ final class Miner(
   }
 
   @inline private def has(bits: Array[Long], v: Int): Boolean = (bits(v >>> 6) & (1L << v)) != 0
-  @inline private def adjacent(u: Int, v: Int): Boolean = (rows(u * words + (v >>> 6)) & (1L << v)) != 0
+  /** 1 if u and v are adjacent, else 0. */
+  @inline private def adjBit(u: Int, v: Int): Int = (rows(u * words + (v >>> 6)) >>> v).toInt & 1
 
   private def clear(bits: Array[Long]): Unit = { var k = 0; while (k < words) { bits(k) = 0L; k += 1 } }
 
@@ -171,23 +185,126 @@ final class Miner(
     out
   }
 
-  /** Recompute membership bits and the degrees into S and ext (T2). */
+  /** |N(x) ∩ bits| by popcount over x's row. */
+  private def degreeInto(x: Int, bits: Array[Long]): Int = {
+    val base = x * words; var d = 0; var k = 0
+    while (k < words) { d += bitCount(rows(base + k) & bits(k)); k += 1 }
+    d
+  }
+
+  /** f's whole state from its S and ext arrays (T2): the task root and the
+    * test hooks start from this; every other frame derives or updates it.
+    */
   private def computeDegrees(f: Miner.Frame): Unit = {
-    setBits(sBits, f.s, 0, f.sLen)
-    setBits(eBits, f.ext, 0, f.extLen)
-    def fill(x: Int): Unit = {
-      val base = x * words; var ds = 0; var de = 0; var k = 0
+    setBits(f.sBits, f.s, 0, f.sLen)
+    setBits(f.eBits, f.ext, 0, f.extLen)
+    var i = 0
+    while (i < f.sLen) { val x = f.s(i); f.dS(x) = degreeInto(x, f.sBits); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
+    i = 0
+    while (i < f.extLen) { val x = f.ext(i); f.dS(x) = degreeInto(x, f.sBits); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
+    f.extDegrees = true
+  }
+
+  /** The state of child c = ⟨S ∪ {v}, ext'⟩ from its parent f, whose state
+    * is exact and whose `rest` has just lost v: ext' (already in c.ext, v's
+    * reach row cached) is rest ∧ ¬S ∧ reach(v), d_S of a vertex gains one if
+    * it is v's neighbour, and d_ext is counted for S ∪ {v} only.
+    */
+  private def deriveChild(f: Miner.Frame, c: Miner.Frame, v: Int): Unit = {
+    val rv = v * words
+    var k = 0
+    while (k < words) {
+      c.sBits(k) = f.sBits(k)
+      c.eBits(k) = f.rest(k) & ~f.sBits(k) & reachRows(rv + k)
+      k += 1
+    }
+    c.sBits(v >>> 6) |= 1L << v
+    var i = 0
+    while (i < c.sLen) {
+      val x = c.s(i)
+      c.dS(x) = f.dS(x) + adjBit(v, x)
+      c.dExt(x) = degreeInto(x, c.eBits)
+      i += 1
+    }
+    i = 0
+    while (i < c.extLen) { val x = c.ext(i); c.dS(x) = f.dS(x) + adjBit(v, x); i += 1 }
+    c.extDegrees = false
+    if (checkState) assertExact(c)
+  }
+
+  /** d_ext of f's ext vertices, which a derived state leaves unfilled. */
+  private def fillExtDegrees(f: Miner.Frame): Unit = {
+    var i = 0
+    while (i < f.extLen) { val x = f.ext(i); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
+    f.extDegrees = true
+    if (checkState) assertExact(f)
+  }
+
+  /** The critical vertices s(from until to), already cleared from eBits,
+    * join S: ext drops them, order kept, and each moved vertex's neighbours
+    * in S ∪ ext gain one d_S and lose one d_ext.
+    */
+  private def moveToS(f: Miner.Frame, from: Int, to: Int): Unit = {
+    var i = from
+    while (i < to) { val m = f.s(i); f.sBits(m >>> 6) |= 1L << m; i += 1 }
+    var kept = 0
+    i = 0
+    while (i < f.extLen) { val u = f.ext(i); if (has(f.eBits, u)) { f.ext(kept) = u; kept += 1 }; i += 1 }
+    f.extLen = kept
+    i = from
+    while (i < to) {
+      val base = f.s(i) * words; var k = 0
       while (k < words) {
-        val r = rows(base + k)
-        ds += bitCount(r & sBits(k)); de += bitCount(r & eBits(k))
+        var w = rows(base + k) & (f.sBits(k) | f.eBits(k))
+        while (w != 0) { val y = (k << 6) | numberOfTrailingZeros(w); f.dS(y) += 1; f.dExt(y) -= 1; w &= w - 1 }
         k += 1
       }
-      dS(x) = ds; dExt(x) = de
+      i += 1
     }
+    if (checkState) assertExact(f)
+  }
+
+  /** The Type-I removals removed(0 until count), already gone from ext and
+    * eBits: each one's neighbours in S ∪ ext lose one d_ext.
+    */
+  private def dropRemoved(f: Miner.Frame, count: Int): Unit = {
     var i = 0
-    while (i < f.sLen) { fill(f.s(i)); i += 1 }
+    while (i < count) {
+      val base = removed(i) * words; var k = 0
+      while (k < words) {
+        var w = rows(base + k) & (f.sBits(k) | f.eBits(k))
+        while (w != 0) { f.dExt((k << 6) | numberOfTrailingZeros(w)) -= 1; w &= w - 1 }
+        k += 1
+      }
+      i += 1
+    }
+    if (checkState) assertExact(f)
+  }
+
+  /** Checked mode: f's bitsets, d_S and d_ext (of ext only once filled)
+    * equal those of a full recompute from its arrays.
+    */
+  private def assertExact(f: Miner.Frame): Unit = {
+    val r = checkFrame
+    System.arraycopy(f.s, 0, r.s, 0, f.sLen); r.sLen = f.sLen
+    System.arraycopy(f.ext, 0, r.ext, 0, f.extLen); r.extLen = f.extLen
+    computeDegrees(r)
+    def fail(what: String) = throw new IllegalStateException(
+      s"derived bounding state differs from a recompute: $what (S=${f.s.take(f.sLen).toSeq}, ext=${f.ext.take(f.extLen).toSeq})")
+    if (!java.util.Arrays.equals(f.sBits, r.sBits)) fail("S bits")
+    if (!java.util.Arrays.equals(f.eBits, r.eBits)) fail("ext bits")
+    var i = 0
+    while (i < f.sLen) {
+      val x = f.s(i)
+      if (f.dS(x) != r.dS(x) || f.dExt(x) != r.dExt(x)) fail(s"degrees of $x in S")
+      i += 1
+    }
     i = 0
-    while (i < f.extLen) { fill(f.ext(i)); i += 1 }
+    while (i < f.extLen) {
+      val x = f.ext(i)
+      if (f.dS(x) != r.dS(x) || (f.extDegrees && f.dExt(x) != r.dExt(x))) fail(s"degrees of $x in ext")
+      i += 1
+    }
   }
 
   /** Definition 1 for the m vertices in `qBits`: popcount degrees, then
@@ -251,6 +368,7 @@ final class Miner(
 
   private def boundsOf(f: Miner.Frame): Bounds.Verdict = {
     val t0 = if (timers ne null) System.nanoTime else 0L
+    val dS = f.dS; val dExt = f.dExt
     var sumDS = 0; var dMinTotal = Int.MaxValue; var dMinS = Int.MaxValue
     var i = 0
     while (i < f.sLen) {
@@ -260,29 +378,22 @@ final class Miner(
       if (dS(v) < dMinS) dMinS = dS(v)
       i += 1
     }
-    // d_S over ext, non-increasing, by counting sort (d_S(u) <= |S|)
+    // Lemma 2's prefix sums of d_S over ext taken non-increasing, expanded
+    // from a counting sort (d_S(u) <= |S|)
     val nExt = f.extLen
     java.util.Arrays.fill(dsCount, 0, f.sLen + 1, 0)
     i = 0
     while (i < nExt) { dsCount(dS(f.ext(i))) += 1; i += 1 }
+    prefix(0) = 0
     var d = f.sLen; i = 0
     while (d >= 0) {
       var c = dsCount(d)
-      while (c > 0) { dsExt(i) = d; i += 1; c -= 1 }
+      while (c > 0) { prefix(i + 1) = prefix(i) + d; i += 1; c -= 1 }
       d -= 1
     }
-    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, dsExt, nExt, gamma, ceilG, quickCompat = !plus, prefix)
+    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, prefix, nExt, gamma, ceilG, quickCompat = !plus)
     if (timers ne null) timers.boundNs += System.nanoTime - t0
     v
-  }
-
-  /** f.ext(0 until f.extLen) reduced to the vertices still set in eBits,
-    * order kept.
-    */
-  private def keepMarkedExt(f: Miner.Frame): Unit = {
-    var w = 0; var i = 0
-    while (i < f.extLen) { val u = f.ext(i); if (has(eBits, u)) { f.ext(w) = u; w += 1 }; i += 1 }
-    f.extLen = w
   }
 
   // ------------------------------------------------------- Algorithm 2
@@ -290,14 +401,16 @@ final class Miner(
   /** Iterative bound-based pruning. Returns true iff extending S (beyond S
     * itself) is pruned; S and ext are mutated in place (critical-vertex
     * moves grow S, Type-I pruning shrinks ext). Any mandated examination of
-    * G(S) happens internally. S must be non-empty. A false return is a
-    * fixpoint: sBits, eBits, dS and dExt are exact for the final S and ext.
+    * G(S) happens internally. S must be non-empty and f's state exact
+    * (derived or computed). A false return is a fixpoint with |S| + |ext|
+    * >= τ_size, where f's bitsets and all its degrees are exact.
     */
   private def iterativeBounding(f: Miner.Frame): Boolean = {
-    val s = f.s
+    val s = f.s; val dS = f.dS; val dExt = f.dExt
     var looping = true
     while (looping && f.extLen > 0) {
-      computeDegrees(f)
+      // bounding never grows S ∪ ext, so nothing it could emit is large enough
+      if (f.sLen + f.extLen < tauSize) return true
       boundsOf(f) match {
         case Bounds.PruneExtensions =>
           if (plus) checkOutput(s, f.sLen)
@@ -305,6 +418,7 @@ final class Miner(
         case Bounds.PruneAll => return true
         case Bounds.Ok(us0, ls0) =>
           if (us0 < ls0) return true
+          if (!f.extDegrees) fillExtDegrees(f)
           var us = us0; var ls = ls0
           // ---- critical-vertex pruning (P6), looped until none remain ----
           var critDone = false
@@ -314,7 +428,7 @@ final class Miner(
             val need = ceilG(sLen + ls - 1)
             // N_ext(v) of each critical v (Quick: of the first one only) is
             // appended to S in id order and unmarked in eBits, so a vertex
-            // moves once
+            // moves once; degrees are updated after the scan
             var end = sLen
             var i = 0
             while (i < sLen && (plus || end == sLen)) {
@@ -322,8 +436,8 @@ final class Miner(
               if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
                 val base = v * words; var k = 0
                 while (k < words) {
-                  var w = rows(base + k) & eBits(k)
-                  eBits(k) &= ~w
+                  var w = rows(base + k) & f.eBits(k)
+                  f.eBits(k) &= ~w
                   while (w != 0) { s(end) = (k << 6) | numberOfTrailingZeros(w); end += 1; w &= w - 1 }
                   k += 1
                 }
@@ -336,9 +450,8 @@ final class Miner(
               // the paper examines G(S) before expanding it (missed by Quick)
               if (plus) checkOutput(s, sLen)
               f.sLen = end
-              keepMarkedExt(f)
+              moveToS(f, sLen, end)
               if (f.extLen > 0) {
-                computeDegrees(f)
                 boundsOf(f) match {
                   case Bounds.PruneExtensions =>
                     if (plus) checkOutput(s, f.sLen)
@@ -370,20 +483,22 @@ final class Miner(
               if (plus) checkOutput(s, sLen)
               return true
             }
-            // ---- Type-I pruning (Theorems 3, 5, 7) ----
-            val before = f.extLen
+            // ---- Type-I pruning (Theorems 3, 5, 7), ext compacted in place ----
+            var kept = 0; var nRemoved = 0
             i = 0
-            while (i < before) {
+            while (i < f.extLen) {
               val u = f.ext(i); val ds = dS(u); val de = dExt(u)
               val pruned =
                 ds + de < ceilG(sLen + de) ||          // Thm 3
                 ds + us - 1 < ceilG(sLen + us - 1) ||  // Thm 5
                 ds + de < ceilG(sLen + ls - 1)         // Thm 7
-              if (pruned) eBits(u >>> 6) &= ~(1L << u)
+              if (pruned) { f.eBits(u >>> 6) &= ~(1L << u); removed(nRemoved) = u; nRemoved += 1 }
+              else { f.ext(kept) = u; kept += 1 }
               i += 1
             }
-            keepMarkedExt(f)
-            if (f.extLen == before) looping = false // fixpoint (case C2)
+            f.extLen = kept
+            if (nRemoved == 0) looping = false // fixpoint (case C2)
+            else dropRemoved(f, nRemoved)
           }
       }
     }
@@ -398,9 +513,12 @@ final class Miner(
     f
   }
 
-  /** Test hook: `iterativeBounding` on buffers, written back in place. */
+  /** Test hook: `iterativeBounding` on buffers, from a full recompute of
+    * their state, written back in place.
+    */
   private[core] def iterativeBounding(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Boolean = {
     val f = load(0, s, ext)
+    computeDegrees(f)
     val pruned = iterativeBounding(f)
     s.clear(); s ++= f.s.iterator.take(f.sLen)
     ext.clear(); ext ++= f.ext.iterator.take(f.extLen)
@@ -411,35 +529,39 @@ final class Miner(
 
   /** Puts C_S(u) of the best cover vertex u in ext (Eq 9) into `cover` and
     * returns its size, or 0 if the rule is inapplicable for every u; ties
-    * go to the first u in ext order. Requires fresh degrees for f.
+    * go to the first u in ext order. Requires f's d_S exact.
     */
   private def findCoverSet(f: Miner.Frame): Int = {
     val t0 = if (timers ne null) System.nanoTime else 0L
-    val s = f.s; val sLen = f.sLen
-    val cg = ceilG(sLen)
-    var bestLen = 0
+    val dS = f.dS; val sBits = f.sBits
+    val cg = ceilG(f.sLen)
+    // the vertices v of S with d_S(v) < ⌈γ|S|⌉: u must be adjacent to all
+    clear(low)
     var i = 0
+    while (i < f.sLen) { val v = f.s(i); if (dS(v) < cg) low(v >>> 6) |= 1L << v; i += 1 }
+    var bestLen = 0
+    i = 0
     while (i < f.extLen) {
       val u = f.ext(i)
       if (dS(u) >= cg) {
-        // every v in S not adjacent to u must have d_S(v) >= ⌈γ|S|⌉
-        var ok = true
-        var j = 0
-        while (ok && j < sLen) { val v = s(j); if (!adjacent(u, v) && dS(v) < cg) ok = false; j += 1 }
+        val ub = u * words
+        var ok = true; var k = 0
+        while (ok && k < words) { if ((low(k) & ~rows(ub + k)) != 0) ok = false; k += 1 }
         if (ok) {
           // N_ext(u) ∩ ⋂ N(v) over v in S \ N(u); stop once it is too small
-          val ub = u * words
-          var c = 0; var k = 0
-          while (k < words) { cand(k) = rows(ub + k) & eBits(k); c += bitCount(cand(k)); k += 1 }
-          j = 0
-          while (c > bestLen && j < sLen) {
-            val v = s(j)
-            if (!adjacent(u, v)) {
-              val vb = v * words
-              c = 0; k = 0
-              while (k < words) { cand(k) &= rows(vb + k); c += bitCount(cand(k)); k += 1 }
+          var c = 0
+          k = 0
+          while (k < words) { cand(k) = rows(ub + k) & f.eBits(k); c += bitCount(cand(k)); k += 1 }
+          k = 0
+          while (c > bestLen && k < words) {
+            var w = sBits(k) & ~rows(ub + k)
+            while (c > bestLen && w != 0) {
+              val vb = ((k << 6) | numberOfTrailingZeros(w)) * words
+              c = 0; var j = 0
+              while (j < words) { cand(j) &= rows(vb + j); c += bitCount(cand(j)); j += 1 }
+              w &= w - 1
             }
-            j += 1
+            k += 1
           }
           if (c > bestLen) { System.arraycopy(cand, 0, cover, 0, words); bestLen = c }
         }
@@ -460,16 +582,15 @@ final class Miner(
 
   /** Reorders f.ext ascending by (d_S, d_ext), stably — Section 6.2's
     * lookahead-friendly order — with the cover set moved to the tail.
-    * Returns the number of head vertices to examine. `degreesExact` says
-    * the degree state already belongs to f (iterativeBounding's fixpoint).
+    * Returns the number of head vertices to examine. Requires f's state
+    * exact, degrees of ext included.
     */
-  private def orderExt(f: Miner.Frame, degreesExact: Boolean): Int = {
-    if (!degreesExact) computeDegrees(f)
+  private def orderExt(f: Miner.Frame): Int = {
     val ext = f.ext; val len = f.extLen
     var i = 0
     while (i < len) {
       val u = ext(i)
-      keys(i) = (dS(u).toLong << 42) | (dExt(u).toLong << 21) | i
+      keys(i) = (f.dS(u).toLong << 42) | (f.dExt(u).toLong << 21) | i
       extCopy(i) = u
       i += 1
     }
@@ -553,21 +674,20 @@ final class Miner(
     */
   def mine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], spawnAt: Int => Boolean,
            spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
-    load(0, s0, ext0)
-    search(0, spawnAt, spawn, degreesExact = false)
+    computeDegrees(load(0, s0, ext0))
+    search(0, spawnAt, spawn)
   }
 
-  /** Mines from the S and ext held in frame `depth`; children go to frame
-    * `depth + 1`. `degreesExact`: see `orderExt`.
+  /** Mines from the S and ext held in frame `depth`, whose state is exact;
+    * children go to frame `depth + 1`.
     */
-  private def search(depth: Int, spawnAt: Int => Boolean,
-                     spawn: (Array[Int], Array[Int]) => Unit, degreesExact: Boolean): Boolean = {
+  private def search(depth: Int, spawnAt: Int => Boolean, spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
     val f = frame(depth)
     var qFound = false
-    val nHead = orderExt(f, degreesExact)
+    val nHead = orderExt(f)
     // orderExt only permutes ext, so sBits ∪ eBits is S ∪ ext
     var k = 0
-    while (k < words) { f.rest(k) = sBits(k) | eBits(k); k += 1 }
+    while (k < words) { f.rest(k) = f.sBits(k) | f.eBits(k); k += 1 }
     val c = frame(depth + 1)
     var examined = 0
     while (examined < nHead) {
@@ -584,13 +704,14 @@ final class Miner(
       if (c.extLen == 0) {
         // boundary case missed by the original Quick (may lose results)
         if (plus && checkOutput(c.s, c.sLen)) qFound = true
-      } else {
-        val pruned = iterativeBounding(c)
-        if (!pruned && c.sLen + c.extLen >= tauSize) {
+      } else if (c.sLen + c.extLen >= tauSize) {
+        // (a smaller child could emit nothing: bounding only shrinks it)
+        deriveChild(f, c, v)
+        if (!iterativeBounding(c)) {
           if (spawnAt(depth)) {
             spawn(java.util.Arrays.copyOf(c.s, c.sLen), java.util.Arrays.copyOf(c.ext, c.extLen))
             checkOutput(c.s, c.sLen)
-          } else if (search(depth + 1, spawnAt, spawn, degreesExact = true)) qFound = true
+          } else if (search(depth + 1, spawnAt, spawn)) qFound = true
           else if (checkOutput(c.s, c.sLen)) qFound = true
         }
       }

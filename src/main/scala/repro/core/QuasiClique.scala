@@ -16,7 +16,12 @@ object QuasiClique {
   }
 
   /** ⌈γ·m⌉ for 0 <= m <= upTo, so hot loops read a table, not `math.ceil`. */
-  def ceilTable(gamma: Double, upTo: Int): Array[Int] = Array.tabulate(upTo + 1)(ceilGamma(gamma, _))
+  def ceilTable(gamma: Double, upTo: Int): Array[Int] = {
+    val t = new Array[Int](upTo + 1)
+    var m = 0
+    while (m <= upTo) { t(m) = ceilGamma(gamma, m); m += 1 }
+    t
+  }
 
   /** ⌊x/γ⌋ with the symmetric epsilon guard (used by the U_S bound). */
   def floorDiv(x: Double, gamma: Double): Int = math.floor(x / gamma + 1e-9).toInt

@@ -13,8 +13,9 @@ object GraphOps {
     * repeated deletion of vertices with degree < k). Returns a mask.
     */
   def kCoreMask(g: LocalGraph, k: Int): Array[Boolean] = {
-    val alive = Array.fill(g.n)(true)
-    val deg   = Array.tabulate(g.n)(g.degree)
+    val alive = new Array[Boolean](g.n)
+    java.util.Arrays.fill(alive, true)
+    val deg = degrees(g)
     // a vertex is queued once, when it dies, so n slots suffice
     val queue = new Array[Int](g.n)
     var tail = 0
@@ -31,6 +32,14 @@ object GraphOps {
       }
     }
     alive
+  }
+
+  /** Every vertex's degree, in a primitive loop (`Array.tabulate` boxes). */
+  private def degrees(g: LocalGraph): Array[Int] = {
+    val deg = new Array[Int](g.n)
+    var v = 0
+    while (v < g.n) { deg(v) = g.degree(v); v += 1 }
+    deg
   }
 
   /** The indices set in `mask`, ascending. */
@@ -100,7 +109,7 @@ object GraphOps {
   def coreNumbers(g: LocalGraph): Array[Int] = {
     val n = g.n
     if (n == 0) return Array.emptyIntArray
-    val deg  = Array.tabulate(n)(g.degree)
+    val deg  = degrees(g)
     val maxD = g.maxDegree
     // bin sort by degree
     val bin = new Array[Int](maxD + 2)

@@ -96,10 +96,10 @@ class BoundsSpec extends AnyFunSuite {
   }
 
   // The miner passes its ⌈γ·m⌉ table (sized to the task, so longer than a
-  // call needs) and a dsExt array with stale slots past nExt; the verdict
-  // must equal the γ-only entry's, and that of a table of exact rational
-  // ceilings, at every paper γ and at products like 0.9 * 10 that sit on an
-  // integer.
+  // call needs) and Lemma 2's prefix sums in a scratch array with stale
+  // slots past nExt; the verdict must equal the γ-only entry's, and that of
+  // a table of exact rational ceilings, at every paper γ and at products
+  // like 0.9 * 10 that sit on an integer.
   test("the table-taking compute gives the gamma-only entry's verdict") {
     val rnd = new Random(42)
     for (gammaStr <- Seq("0.5", "0.6", "0.75", "0.8", "0.9", "0.95", "1.0")) {
@@ -115,12 +115,12 @@ class BoundsSpec extends AnyFunSuite {
         val dMinS = rnd.nextInt(sSize)
         val sumDS = dMinS + (1 until sSize).map(_ => dMinS + rnd.nextInt(sSize - dMinS)).sum
         val dMinTotal = dMinS + rnd.nextInt(nExt + 1)
-        val padded = dsExt ++ Array.fill(3)(sSize)
+        val prefix = dsExt.scanLeft(0)(_ + _) ++ Array.fill(3)(-1000)
         if ((1 until sSize + nExt).exists(m => (BigDecimal(gammaStr) * m).isWhole)) onInteger += 1
         for (quickCompat <- Seq(false, true)) {
           val ref = Bounds.compute(sSize, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat)
           def withTable(t: Array[Int]) =
-            Bounds.compute(sSize, sumDS, dMinTotal, dMinS, padded, nExt, gamma, t, quickCompat, new Array[Int](nExt + 1))
+            Bounds.compute(sSize, sumDS, dMinTotal, dMinS, prefix, nExt, gamma, t, quickCompat)
           val ctx = s"gamma=$gammaStr |S|=$sSize sumDS=$sumDS dMinTotal=$dMinTotal dMinS=$dMinS dsExt=${dsExt.toSeq} quick=$quickCompat"
           assert(withTable(table) == ref, ctx)
           assert(withTable(exact) == ref, ctx)

@@ -38,13 +38,29 @@ class MinerCorrectnessSpec extends SparkSpec {
     }
   }
 
+  /** Brute force at every γ and τ of the planted sweeps; some must answer. */
+  private def checkPlanted(g: LocalGraph, label: String): Unit = {
+    val answers = for (gamma <- Seq(0.6, 0.7, 0.75, 0.8, 0.9); tau <- Seq(4, 5, 6))
+      yield checkAgainstBruteForce(g, gamma, tau, s"$label gamma=$gamma tau=$tau")
+    assert(answers.exists(_.nonEmpty), s"$label has no quasi-clique at any gamma/tau")
+  }
+
   // Planted near-threshold graphs: every seed of a fixed range, every γ and τ.
   for (seed <- 1 to 20)
     test(s"Quick+ == brute force on planted near-threshold graphs (seed=$seed)") {
-      val g = NearThreshold.graph(seed)
-      val answers = for (gamma <- Seq(0.6, 0.7, 0.75, 0.8, 0.9); tau <- Seq(4, 5, 6))
-        yield checkAgainstBruteForce(g, gamma, tau, s"planted(seed=$seed) gamma=$gamma tau=$tau")
-      assert(answers.exists(_.nonEmpty), s"planted(seed=$seed) has no quasi-clique at any gamma/tau")
+      checkPlanted(NearThreshold.graph(seed), s"planted(seed=$seed)")
+    }
+
+  // Overlapping clique plants on a sparse background: unions of cliques
+  // that share vertices are quasi-cliques near the γ threshold, where
+  // critical-vertex moves and Type-I removals act.
+  for (seed <- 1 to 12)
+    test(s"Quick+ == brute force on overlapping clique plants (seed=$seed)") {
+      val rnd = new scala.util.Random(seed)
+      val n = 16
+      checkPlanted(LocalGraph.fromEdges(n,
+        GraphGen.erdosRenyi(n, 0.08 + 0.10 * rnd.nextDouble(), rnd.nextLong()).packedEdges ++
+          GraphGen.overlappingCliques(n, 2 + rnd.nextInt(3), 4, 8, rnd.nextLong())), s"overlapping(seed=$seed)")
     }
 
   // Phase timers are read only when passed; timing must not steer the search.

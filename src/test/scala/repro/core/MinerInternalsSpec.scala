@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, NearThreshold}
 import repro.gthinker.{ASplit, ATime}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -187,6 +187,51 @@ class MinerInternalsSpec extends AnyFunSuite {
       intercept[Miner.DeadlineExceeded] {
         miner.mine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n), rule, (_, _) => ())
       }
+    }
+  }
+
+  // ------------------------------------------ derived bounding state
+
+  /** Mines g as `mineSerial` does (prelude, one miner per ego task) with
+    * every miner in checked mode, which compares each derived or updated
+    * frame state with a full recompute and throws on a difference. Returns
+    * the candidates in emission order and the widest task's vertex count.
+    */
+  private def checkedMine(g: LocalGraph, gamma: Double, tau: Int, config: MinerConfig): (Seq[Vector[Int]], Int) = {
+    val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tau, recode = config.isQuickPlus)
+    val out = ArrayBuffer.empty[Vector[Int]]
+    var widest = 0
+    for (v <- 0 until spawnUpper; (task, taskIds) <- TaskSpawn.egoTask(gm, v, k)) {
+      widest = math.max(widest, task.n)
+      val miner = new Miner(task, gamma, tau, arr => { out += QuasiClique.canon(arr.map(x => ids(taskIds(x)))).toVector; () }, config)
+      miner.checkState = true
+      miner.recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
+    }
+    (out.toSeq, widest)
+  }
+
+  private def assertCheckedRunMatches(g: LocalGraph, gamma: Double, tau: Int, label: String): Int =
+    Seq(MinerConfig.quickPlus, MinerConfig.quick).map { config =>
+      val (checked, widest) = checkedMine(g, gamma, tau, config)
+      val plain = QuickPlus.mineSerial(g, gamma, tau, config, recode = config.isQuickPlus).candidates.map(_.toVector)
+      assert(checked == plain, s"$label quickPlus=${config.isQuickPlus}: checked run emitted other candidates")
+      widest
+    }.max
+
+  for (seed <- 1 to 20) test(s"derived bounding state equals a recompute on planted near-threshold graphs (seed=$seed)") {
+    val g = NearThreshold.graph(seed)
+    for (gamma <- Seq(0.6, 0.7, 0.75, 0.8, 0.9); tau <- Seq(4, 5, 6))
+      assertCheckedRunMatches(g, gamma, tau, s"planted(seed=$seed) gamma=$gamma tau=$tau")
+  }
+
+  // tasks wider than 64 (Hyves-like: up to 94) and 128 vertices keep S,
+  // ext and every row in two and three words
+  test("derived bounding state equals a recompute on multi-word tasks (Hyves-like, ER n=150)") {
+    val hyves = GraphGen.hyvesLike()
+    assert(assertCheckedRunMatches(hyves.graph, hyves.gamma, hyves.tauSize, "Hyves-like") > 64)
+    for (seed <- 1 to 2) {
+      val g = GraphGen.erdosRenyi(150, 0.1, seed)
+      assert(assertCheckedRunMatches(g, 0.75, 5, s"ER(150, 0.1, $seed)") > 128)
     }
   }
 
