@@ -22,7 +22,8 @@ object Bounds {
     * of d_S(v), and the d_S(u) values of ext sorted non-increasing.
     * `quickCompat` disables the boundary-case prunes that only Quick+ has
     * (falling back to the loosest feasible bound instead). This is the
-    * reference form; the miner calls the one below.
+    * reference form: it expands all of Lemma 2's prefix sums up front. The
+    * miner calls the histogram form below.
     */
   def compute(
       sSize: Int,
@@ -32,41 +33,76 @@ object Bounds {
       dSExtDesc: Array[Int],
       gamma: Double,
       quickCompat: Boolean): Verdict = {
+    require(sSize > 0, "bounds need a non-empty S")
     val nExt = dSExtDesc.length
+    val ceil = QuasiClique.ceilTable(gamma, sSize + nExt)
+    // prefix(t): the sum of the t largest d_S values of ext (Lemma 2)
     val prefix = new Array[Int](nExt + 1)
     var i = 0
     while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
-    compute(sSize, sumDS, dMinTotal, dMinS, prefix, nExt, gamma,
-      QuasiClique.ceilTable(gamma, sSize + nExt), quickCompat)
+    def lemma2Holds(t: Int): Boolean = sumDS + prefix(t) >= sSize * ceil(sSize + t - 1)
+
+    // ---- U_S (Eqs 1-4) ----
+    val tMaxU = math.min(QuasiClique.floorDiv(dMinTotal, gamma) + 1 - sSize, nExt)
+    var us = tMaxU
+    while (us >= 1 && !lemma2Holds(us)) us -= 1
+    if (us < 1) {
+      if (!quickCompat || tMaxU < 1) return PruneExtensions
+      us = tMaxU
+    }
+
+    // ---- L_S (Eqs 6-8) ----
+    var lsMin = 0
+    while (lsMin <= nExt && dMinS + lsMin < ceil(sSize + lsMin - 1)) lsMin += 1
+    if (lsMin > nExt) return PruneAll
+    var ls = lsMin
+    while (ls <= nExt && !lemma2Holds(ls)) ls += 1
+    if (ls <= nExt) Ok(us, ls)
+    else if (quickCompat) Ok(us, lsMin)
+    else PruneAll
   }
 
-  /** As above, with the d_S values of ext given as Lemma 2's prefix sums:
-    * `prefix(t)` is the sum of the t largest, for 0 <= t <= nExt. `ceil(m)`
-    * must be ⌈γ·m⌉ for m < sSize + nExt (see `QuasiClique.ceilTable`); γ
-    * itself is still needed for ⌊d/γ⌋.
+  /** As above, with the d_S values of ext given as a histogram: `hist(d)` is
+    * the number of ext vertices with d_S = d, for 0 <= d <= sSize (bins
+    * above sSize are ignored), and nExt is their total. Lemma 2's prefix
+    * sums are walked lazily from it: U_S needs prefix(t) only from tMaxU
+    * downwards, L_S only from lsMin upwards, each until its first hit, so
+    * a pass costs O(sSize + steps) instead of O(nExt). `ceil(m)` must be
+    * ⌈γ·m⌉ for m < sSize + nExt (see `QuasiClique.ceilTable`); γ itself is
+    * still needed for ⌊d/γ⌋.
     */
   def compute(
       sSize: Int,
       sumDS: Int,
       dMinTotal: Int,
       dMinS: Int,
-      prefix: Array[Int],
+      hist: Array[Int],
       nExt: Int,
       gamma: Double,
       ceil: Array[Int],
       quickCompat: Boolean): Verdict = {
     require(sSize > 0, "bounds need a non-empty S")
 
-    def lemma2Holds(t: Int): Boolean =
-      sumDS + prefix(t) >= sSize * ceil(sSize + t - 1)
-
     // ---- U_S (Eqs 1-4) ----
     val usMin = QuasiClique.floorDiv(dMinTotal, gamma) + 1 - sSize
     val tMaxU = math.min(usMin, nExt)
     var us = -1
     if (tMaxU >= 1) {
+      // jump whole bins from the top to the bin d holding the tMaxU-th
+      // largest value; `left` of the t largest lie in bin d
+      var d = sSize; var above = 0; var p = 0
+      while (above + hist(d) < tMaxU) { above += hist(d); p += d * hist(d); d -= 1 }
+      var left = tMaxU - above
+      p += d * left
       var t = tMaxU
-      while (t >= 1 && us < 0) { if (lemma2Holds(t)) us = t; t -= 1 }
+      while (us < 0 && t >= 1) {
+        if (sumDS + p >= sSize * ceil(sSize + t - 1)) us = t
+        else {
+          // prefix(t - 1) drops the t-th largest, the last one taken from bin d
+          p -= d; left -= 1; t -= 1
+          if (left == 0 && t > 0) { d += 1; while (hist(d) == 0) d += 1; left = hist(d) }
+        }
+      }
     }
     if (us < 0) {
       if (!quickCompat) return PruneExtensions
@@ -85,9 +121,22 @@ object Bounds {
       t += 1
     }
     if (lsMin < 0) return PruneAll // Eq 7 infeasible: basic math, both variants prune
+    // jump whole bins from the top while they fit in the lsMin largest; the
+    // next value to add is then in bin d, of which `used` are taken
+    var d = sSize; var taken = 0; var p = 0
+    while (d >= 0 && taken + hist(d) <= lsMin) { taken += hist(d); p += d * hist(d); d -= 1 }
+    var used = lsMin - taken
+    p += d * used
     var ls = -1
     t = lsMin
-    while (t <= nExt && ls < 0) { if (lemma2Holds(t)) ls = t; t += 1 }
+    while (ls < 0 && t <= nExt) {
+      if (sumDS + p >= sSize * ceil(sSize + t - 1)) ls = t
+      else if (t < nExt) {
+        while (used == hist(d)) { d -= 1; used = 0 }
+        p += d; used += 1
+      }
+      t += 1
+    }
     if (ls < 0) {
       if (!quickCompat) return PruneAll
       ls = lsMin // Quick fallback: keep the loose bound, no prune

@@ -26,8 +26,10 @@ object Miner {
   val NeverSpawn: Int => Boolean = _ => false
 
   /** One search node's bounding state: S and ext in the first `sLen` /
-    * `extLen` slots of arrays sized to the task graph, their bitsets, and
-    * d_S and d_ext of every vertex of S ∪ ext. A child's state is derived
+    * `extLen` slots of arrays sized to the task graph, their bitsets, d_S
+    * and d_ext of every vertex of S ∪ ext, and `hist`, where hist(d) is the
+    * number of ext vertices with d_S = d for 0 <= d <= sLen (bins above
+    * sLen are stale and never read). A child's state is derived
     * from its parent's frame, and `iterativeBounding` keeps it exact as it
     * moves and prunes vertices. d_ext of the ext vertices is filled only
     * once a bound check passes (`extDegrees`). `rest` is S ∪
@@ -42,6 +44,7 @@ object Miner {
     val rest  = new Array[Long](words)
     val dS    = new Array[Int](n)
     val dExt  = new Array[Int](n)
+    val hist  = new Array[Int](n + 1)
     var sLen   = 0
     var extLen = 0
     var extDegrees = false
@@ -140,10 +143,7 @@ final class Miner(
   private val cand  = new Array[Long](words)
   private val cover = new Array[Long](words)
   private val low   = new Array[Long](words)
-  // scratch for bounds (d_S histogram, Lemma 2 prefix sums), Type-I
-  // removals and ordering ext
-  private val dsCount = new Array[Int](n + 1)
-  private val prefix  = new Array[Int](n + 1)
+  // scratch for Type-I removals and ordering ext
   private val removed = new Array[Int](n)
   private val keys    = new Array[Long](n)
   private val extCopy = new Array[Int](n)
@@ -159,6 +159,11 @@ final class Miner(
     while (frames.length <= depth) frames += new Miner.Frame(n, words)
     frames(depth)
   }
+
+  // branches taken so far: the deadline is checked on the first and then
+  // on every 64th, and never without one
+  private val capped = deadlineNanos != Long.MaxValue
+  private var branches = 0
 
   @inline private def has(bits: Array[Long], v: Int): Boolean = (bits(v >>> 6) & (1L << v)) != 0
   /** 1 if u and v are adjacent, else 0. */
@@ -200,15 +205,21 @@ final class Miner(
     setBits(f.eBits, f.ext, 0, f.extLen)
     var i = 0
     while (i < f.sLen) { val x = f.s(i); f.dS(x) = degreeInto(x, f.sBits); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
+    java.util.Arrays.fill(f.hist, 0, f.sLen + 1, 0)
     i = 0
-    while (i < f.extLen) { val x = f.ext(i); f.dS(x) = degreeInto(x, f.sBits); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
+    while (i < f.extLen) {
+      val x = f.ext(i); val d = degreeInto(x, f.sBits)
+      f.dS(x) = d; f.dExt(x) = degreeInto(x, f.eBits); f.hist(d) += 1
+      i += 1
+    }
     f.extDegrees = true
   }
 
   /** The state of child c = ⟨S ∪ {v}, ext'⟩ from its parent f, whose state
     * is exact and whose `rest` has just lost v: ext' (already in c.ext, v's
     * reach row cached) is rest ∧ ¬S ∧ reach(v), d_S of a vertex gains one if
-    * it is v's neighbour, and d_ext is counted for S ∪ {v} only.
+    * it is v's neighbour, the histogram counts ext' afresh, and d_ext is
+    * counted for S ∪ {v} only.
     */
   private def deriveChild(f: Miner.Frame, c: Miner.Frame, v: Int): Unit = {
     val rv = v * words
@@ -226,8 +237,10 @@ final class Miner(
       c.dExt(x) = degreeInto(x, c.eBits)
       i += 1
     }
+    val hist = c.hist
+    java.util.Arrays.fill(hist, 0, c.sLen + 1, 0)
     i = 0
-    while (i < c.extLen) { val x = c.ext(i); c.dS(x) = f.dS(x) + adjBit(v, x); i += 1 }
+    while (i < c.extLen) { val x = c.ext(i); val d = f.dS(x) + adjBit(v, x); c.dS(x) = d; hist(d) += 1; i += 1 }
     c.extDegrees = false
     if (checkState) assertExact(c)
   }
@@ -242,11 +255,15 @@ final class Miner(
 
   /** The critical vertices s(from until to), already cleared from eBits,
     * join S: ext drops them, order kept, and each moved vertex's neighbours
-    * in S ∪ ext gain one d_S and lose one d_ext.
+    * in S ∪ ext gain one d_S and lose one d_ext. A moved vertex leaves its
+    * histogram bin and a neighbour still in ext moves up one bin; the bins
+    * (from, to], new with the larger S, start empty.
     */
   private def moveToS(f: Miner.Frame, from: Int, to: Int): Unit = {
+    val dS = f.dS; val dExt = f.dExt; val hist = f.hist
     var i = from
-    while (i < to) { val m = f.s(i); f.sBits(m >>> 6) |= 1L << m; i += 1 }
+    while (i < to) { val m = f.s(i); f.sBits(m >>> 6) |= 1L << m; hist(dS(m)) -= 1; i += 1 }
+    java.util.Arrays.fill(hist, from + 1, to + 1, 0)
     var kept = 0
     i = 0
     while (i < f.extLen) { val u = f.ext(i); if (has(f.eBits, u)) { f.ext(kept) = u; kept += 1 }; i += 1 }
@@ -255,8 +272,15 @@ final class Miner(
     while (i < to) {
       val base = f.s(i) * words; var k = 0
       while (k < words) {
-        var w = rows(base + k) & (f.sBits(k) | f.eBits(k))
-        while (w != 0) { val y = (k << 6) | numberOfTrailingZeros(w); f.dS(y) += 1; f.dExt(y) -= 1; w &= w - 1 }
+        val r = rows(base + k)
+        var w = r & f.sBits(k)
+        while (w != 0) { val y = (k << 6) | numberOfTrailingZeros(w); dS(y) += 1; dExt(y) -= 1; w &= w - 1 }
+        w = r & f.eBits(k)
+        while (w != 0) {
+          val y = (k << 6) | numberOfTrailingZeros(w); val d = dS(y)
+          hist(d) -= 1; hist(d + 1) += 1; dS(y) = d + 1; dExt(y) -= 1
+          w &= w - 1
+        }
         k += 1
       }
       i += 1
@@ -281,8 +305,8 @@ final class Miner(
     if (checkState) assertExact(f)
   }
 
-  /** Checked mode: f's bitsets, d_S and d_ext (of ext only once filled)
-    * equal those of a full recompute from its arrays.
+  /** Checked mode: f's bitsets, d_S, d_ext (of ext only once filled) and
+    * histogram bins 0..|S| equal those of a full recompute from its arrays.
     */
   private def assertExact(f: Miner.Frame): Unit = {
     val r = checkFrame
@@ -305,6 +329,8 @@ final class Miner(
       if (f.dS(x) != r.dS(x) || (f.extDegrees && f.dExt(x) != r.dExt(x))) fail(s"degrees of $x in ext")
       i += 1
     }
+    i = 0
+    while (i <= f.sLen) { if (f.hist(i) != r.hist(i)) fail(s"d_S histogram bin $i"); i += 1 }
   }
 
   /** Definition 1 for the m vertices in `qBits`: popcount degrees, then
@@ -378,20 +404,7 @@ final class Miner(
       if (dS(v) < dMinS) dMinS = dS(v)
       i += 1
     }
-    // Lemma 2's prefix sums of d_S over ext taken non-increasing, expanded
-    // from a counting sort (d_S(u) <= |S|)
-    val nExt = f.extLen
-    java.util.Arrays.fill(dsCount, 0, f.sLen + 1, 0)
-    i = 0
-    while (i < nExt) { dsCount(dS(f.ext(i))) += 1; i += 1 }
-    prefix(0) = 0
-    var d = f.sLen; i = 0
-    while (d >= 0) {
-      var c = dsCount(d)
-      while (c > 0) { prefix(i + 1) = prefix(i) + d; i += 1; c -= 1 }
-      d -= 1
-    }
-    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, prefix, nExt, gamma, ceilG, quickCompat = !plus)
+    val v = Bounds.compute(f.sLen, sumDS, dMinTotal, dMinS, f.hist, f.extLen, gamma, ceilG, quickCompat = !plus)
     if (timers ne null) timers.boundNs += System.nanoTime - t0
     v
   }
@@ -469,12 +482,13 @@ final class Miner(
             // ---- Type-II pruning (Theorems 4, 6, 8) ----
             var thm4i = false
             val sLen = f.sLen
+            val needU = ceilG(sLen + us - 1); val needL = ceilG(sLen + ls - 1)
             var i = 0
             while (i < sLen) {
               val v = s(i); val ds = dS(v); val de = dExt(v)
               if (ds + de < ceilG(sLen - 1 + de)) return true   // Thm 4 (ii)
-              if (ds + us < ceilG(sLen + us - 1)) return true   // Thm 6
-              if (ds + de < ceilG(sLen + ls - 1)) return true   // Thm 8
+              if (ds + us < needU) return true                  // Thm 6
+              if (ds + de < needL) return true                  // Thm 8
               if (de == 0 && ds < ceilG(sLen)) thm4i = true     // Thm 4 (i)
               i += 1
             }
@@ -489,10 +503,10 @@ final class Miner(
             while (i < f.extLen) {
               val u = f.ext(i); val ds = dS(u); val de = dExt(u)
               val pruned =
-                ds + de < ceilG(sLen + de) ||          // Thm 3
-                ds + us - 1 < ceilG(sLen + us - 1) ||  // Thm 5
-                ds + de < ceilG(sLen + ls - 1)         // Thm 7
-              if (pruned) { f.eBits(u >>> 6) &= ~(1L << u); removed(nRemoved) = u; nRemoved += 1 }
+                ds + de < ceilG(sLen + de) ||  // Thm 3
+                ds + us - 1 < needU ||         // Thm 5
+                ds + de < needL                // Thm 7
+              if (pruned) { f.eBits(u >>> 6) &= ~(1L << u); f.hist(ds) -= 1; removed(nRemoved) = u; nRemoved += 1 }
               else { f.ext(kept) = u; kept += 1 }
               i += 1
             }
@@ -691,7 +705,8 @@ final class Miner(
     val c = frame(depth + 1)
     var examined = 0
     while (examined < nHead) {
-      if (System.nanoTime > deadlineNanos) throw new Miner.DeadlineExceeded
+      if (capped && (branches & 63) == 0 && System.nanoTime > deadlineNanos) throw new Miner.DeadlineExceeded
+      branches += 1
       if (f.sLen + f.extLen - examined < tauSize) return qFound
       if (lookahead(f, examined)) return true
       val v = f.ext(examined)

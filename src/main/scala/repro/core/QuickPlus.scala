@@ -80,8 +80,9 @@ object QuickPlus {
   /** Mines all maximal γ-quasi-cliques of `g` with at least `tauSize`
     * vertices. `timers`, when given, accumulates Table 16's phase times;
     * by default no phase is timed, so the search does not read the clock
-    * per step. `capMillis` bounds the wall time: a run that reaches it
-    * stops and returns what it found with `timedOut` set.
+    * per step. `capMillis` bounds the wall time: the search reads the
+    * clock on every 64th branch, and a run that reaches the cap stops and
+    * returns what it found with `timedOut` set.
     */
   def mineSerial(
       g: LocalGraph,

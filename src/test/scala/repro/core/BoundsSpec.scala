@@ -96,10 +96,10 @@ class BoundsSpec extends AnyFunSuite {
   }
 
   // The miner passes its ⌈γ·m⌉ table (sized to the task, so longer than a
-  // call needs) and Lemma 2's prefix sums in a scratch array with stale
-  // slots past nExt; the verdict must equal the γ-only entry's, and that of
-  // a table of exact rational ceilings, at every paper γ and at products
-  // like 0.9 * 10 that sit on an integer.
+  // call needs) and a frame's d_S histogram, whose bins above |S| are
+  // stale; the verdict must equal the γ-only entry's, and that of a table
+  // of exact rational ceilings, at every paper γ, at products like
+  // 0.9 * 10 that sit on an integer, and with an empty ext.
   test("the table-taking compute gives the gamma-only entry's verdict") {
     val rnd = new Random(42)
     for (gammaStr <- Seq("0.5", "0.6", "0.75", "0.8", "0.9", "0.95", "1.0")) {
@@ -107,7 +107,7 @@ class BoundsSpec extends AnyFunSuite {
       val exact = Array.tabulate(41)(m =>
         (BigDecimal(gammaStr) * m).setScale(0, BigDecimal.RoundingMode.CEILING).toInt)
       val table = new Miner(GraphGen.erdosRenyi(38, 0.3, 1), gamma, 2, _ => ()).ceilG
-      var onInteger = 0
+      var onInteger = 0; var emptyExt = 0
       for (_ <- 1 to 400) {
         val sSize = 1 + rnd.nextInt(12)
         val nExt  = rnd.nextInt(14)
@@ -115,18 +115,22 @@ class BoundsSpec extends AnyFunSuite {
         val dMinS = rnd.nextInt(sSize)
         val sumDS = dMinS + (1 until sSize).map(_ => dMinS + rnd.nextInt(sSize - dMinS)).sum
         val dMinTotal = dMinS + rnd.nextInt(nExt + 1)
-        val prefix = dsExt.scanLeft(0)(_ + _) ++ Array.fill(3)(-1000)
+        val hist = Array.fill(sSize + 1 + rnd.nextInt(4))(rnd.nextInt(2000) - 1000)
+        java.util.Arrays.fill(hist, 0, sSize + 1, 0)
+        dsExt.foreach(d => hist(d) += 1)
         if ((1 until sSize + nExt).exists(m => (BigDecimal(gammaStr) * m).isWhole)) onInteger += 1
+        if (nExt == 0) emptyExt += 1
         for (quickCompat <- Seq(false, true)) {
           val ref = Bounds.compute(sSize, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat)
           def withTable(t: Array[Int]) =
-            Bounds.compute(sSize, sumDS, dMinTotal, dMinS, prefix, nExt, gamma, t, quickCompat)
+            Bounds.compute(sSize, sumDS, dMinTotal, dMinS, hist, nExt, gamma, t, quickCompat)
           val ctx = s"gamma=$gammaStr |S|=$sSize sumDS=$sumDS dMinTotal=$dMinTotal dMinS=$dMinS dsExt=${dsExt.toSeq} quick=$quickCompat"
           assert(withTable(table) == ref, ctx)
           assert(withTable(exact) == ref, ctx)
         }
       }
       assert(onInteger > 0, s"gamma=$gammaStr: no input reached an integer product")
+      assert(emptyExt > 0, s"gamma=$gammaStr: no input had an empty ext")
     }
   }
 

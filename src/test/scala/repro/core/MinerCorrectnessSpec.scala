@@ -51,16 +51,10 @@ class MinerCorrectnessSpec extends SparkSpec {
       checkPlanted(NearThreshold.graph(seed), s"planted(seed=$seed)")
     }
 
-  // Overlapping clique plants on a sparse background: unions of cliques
-  // that share vertices are quasi-cliques near the γ threshold, where
-  // critical-vertex moves and Type-I removals act.
+  // Overlapping clique plants on a sparse background (`NearThreshold.overlapping`).
   for (seed <- 1 to 12)
     test(s"Quick+ == brute force on overlapping clique plants (seed=$seed)") {
-      val rnd = new scala.util.Random(seed)
-      val n = 16
-      checkPlanted(LocalGraph.fromEdges(n,
-        GraphGen.erdosRenyi(n, 0.08 + 0.10 * rnd.nextDouble(), rnd.nextLong()).packedEdges ++
-          GraphGen.overlappingCliques(n, 2 + rnd.nextInt(3), 4, 8, rnd.nextLong())), s"overlapping(seed=$seed)")
+      checkPlanted(NearThreshold.overlapping(seed), s"overlapping(seed=$seed)")
     }
 
   // Phase timers are read only when passed; timing must not steer the search.

@@ -190,6 +190,17 @@ class MinerInternalsSpec extends AnyFunSuite {
     }
   }
 
+  // The search reads the clock on its first branch and then on every 64th,
+  // so a cap that falls during the search still ends it promptly.
+  test("mineSerial with a deadline that falls mid-search returns timedOut promptly") {
+    val hyves = GraphGen.hyvesLike()
+    val t0 = System.nanoTime
+    val out = QuickPlus.mineSerial(hyves.graph, hyves.gamma, hyves.tauSize, capMillis = 1)
+    val wallMillis = (System.nanoTime - t0) / 1e6
+    assert(out.timedOut)
+    assert(wallMillis < 2000, s"a 1 ms cap took $wallMillis ms")
+  }
+
   // ------------------------------------------ derived bounding state
 
   /** Mines g as `mineSerial` does (prelude, one miner per ego task) with

@@ -22,4 +22,15 @@ object NearThreshold {
     LocalGraph.fromEdges(n, background.packedEdges ++
       plant(perm.slice(0, a)) ++ plant(perm.slice(a - overlap, a - overlap + b)))
   }
+
+  /** Overlapping clique plants on a sparse background: unions of 2..4
+    * cliques of 4..8 vertices that share vertices are quasi-cliques near
+    * the γ threshold, where critical-vertex moves and Type-I removals act.
+    */
+  def overlapping(seed: Long): LocalGraph = {
+    val rnd = new scala.util.Random(seed)
+    LocalGraph.fromEdges(n,
+      GraphGen.erdosRenyi(n, 0.08 + 0.10 * rnd.nextDouble(), rnd.nextLong()).packedEdges ++
+        GraphGen.overlappingCliques(n, 2 + rnd.nextInt(3), 4, 8, rnd.nextLong()))
+  }
 }

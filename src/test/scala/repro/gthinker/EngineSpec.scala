@@ -57,6 +57,22 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("engine matches brute force on overlapping clique plants") {
+    // the plants of MinerCorrectnessSpec's serial sweep; γ and τ cycle with the seed
+    val answers = for (seed <- 1 to 3) yield {
+      val (gamma, tau) = (Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3)
+      val g = NearThreshold.overlapping(seed)
+      val truth = canonSet(BruteForce.allMaximal(g, gamma, tau))
+      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); prioritize <- Seq(true, false); par <- Seq(1, 4)) {
+        val res = Engine.run(spark.sparkContext, g, gamma, tau, mode,
+          EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 2))
+        assert(canonSet(res.maximal) == truth, s"overlapping(seed=$seed) gamma=$gamma tau=$tau mode=$mode prioritize=$prioritize p=$par")
+      }
+      truth
+    }
+    assert(answers.exists(_.nonEmpty), "every answer is empty: the check would show nothing")
+  }
+
   test("A_split and A_time actually decompose tasks (subtasks spawned)") {
     val g = GraphGen.erdosRenyi(50, 0.4, 3)
     val split = Engine.run(spark.sparkContext, g, 0.6, 5, ASplit, EngineConfig(2, tauSplit = 5))

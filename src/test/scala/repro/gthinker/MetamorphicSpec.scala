@@ -5,8 +5,9 @@ import repro.core.QuickPlus
 import repro.graph.{LocalGraph, NearThreshold}
 
 /** Metamorphic checks on the planted near-threshold graphs: renaming the
-  * vertices renames the answer, and vertices that can join no result change
-  * nothing. They hold for serial Quick+ and for the engine alike.
+  * vertices renames the answer, vertices that can join no result change
+  * nothing, and a disjoint second plant adds exactly its own answer. They
+  * hold for serial Quick+ and for the engine alike.
   */
 class MetamorphicSpec extends SparkSpec {
 
@@ -48,6 +49,20 @@ class MetamorphicSpec extends SparkSpec {
         val grown = LocalGraph.fromEdges(n + 23, g.packedEdges ++ triangle)
         assert(mine(grown, gamma, tau) == mine(g, gamma, tau), s"seed=$seed")
       }
+    }
+
+    test(s"$name: a disjoint second plant g ⊎ h gives answer(g) ∪ shift(answer(h))") {
+      val hAnswers = seeds.map { seed =>
+        val (gamma, tau) = params(seed)
+        val g = NearThreshold.graph(seed)
+        val h = NearThreshold.graph(seed + 10)
+        val union = LocalGraph.fromEdges(g.n + h.n, g.packedEdges ++
+          h.packedEdges.map(e => LocalGraph.pack(LocalGraph.unpackU(e) + g.n, LocalGraph.unpackV(e) + g.n)))
+        val hAnswer = mine(h, gamma, tau)
+        assert(mine(union, gamma, tau) == mine(g, gamma, tau) ++ hAnswer.map(_.map(_ + g.n)), s"seed=$seed")
+        hAnswer
+      }
+      assert(hAnswers.exists(_.nonEmpty), "every second plant's answer is empty: the check would show nothing")
     }
   }
 }
