@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.gthinker._
 import repro.predict.TaskFeatures
 
 /** Tables 1 and 2: subgraph features and mining time of the 10 most
@@ -8,6 +7,7 @@ import repro.predict.TaskFeatures
   * YouTube analogue (γ=0.9: one dominant straggler) and the Patent analogue
   * (γ=0.89 as in the paper: many stragglers). The prediction column must
   * grossly under-estimate the stragglers — the paper's negative result.
+  * The tasks are A_base's ego tasks, each mined whole and timed serially.
   */
 class Table01_02_TaskTimeBench extends BenchSpec {
 
@@ -15,9 +15,7 @@ class Table01_02_TaskTimeBench extends BenchSpec {
     test(s"Table $tableNo: most expensive tasks + predicted time ($prefix-like)") {
       val d = Datasets(prefix)
       val gamma = gammaOv.getOrElse(d.gamma)
-      val res = Engine.run(sc, d.graph, gamma, d.tauSize, ABase,
-        EngineConfig(parallelism = 16, recordTaskStats = true))
-      val stats = res.taskStats
+      val stats = TaskFeatures.egoTaskTimes(d.graph, gamma, d.tauSize)
       assert(stats.nonEmpty)
       val preds = TaskFeatures.fitPredict(stats)
       val order = stats.zip(preds).sortBy(_._1.mineNanos)
@@ -25,7 +23,8 @@ class Table01_02_TaskTimeBench extends BenchSpec {
       table(s"Table $tableNo: 10 most expensive tasks on $prefix-like (gamma=$gamma tau=${d.tauSize}; ${stats.size} tasks)")
       row(f"${"|V|"}%7s ${"|E|"}%9s ${"MaxDeg"}%7s ${"|E|/|V|"}%8s ${"Core#"}%6s ${"TaskTime(ms)"}%13s ${"Predicted(ms)"}%14s")
       order.takeRight(10).foreach { case (s, p) =>
-        row(f"${s.nV}%7d ${s.nE}%9d ${s.maxDeg}%7d ${s.avgDeg}%8.2f ${s.coreNum}%6d ${s.mineNanos / 1e6}%13.1f $p%14.1f")
+        val x = s.features
+        row(f"${x.nV}%7d ${x.nE}%9d ${x.maxDeg}%7d ${x.avgDeg}%8.2f ${x.coreNum}%6d ${s.mineNanos / 1e6}%13.1f $p%14.1f")
       }
       val times = stats.map(_.mineNanos).sorted
       val spanOrders = math.log10(math.max(times.last, 1).toDouble / math.max(times.head, 1))

@@ -1,10 +1,9 @@
 package repro.bench
 
-import repro.SynthData
 import repro.graph.GraphOps
 
-/** Table 3: dataset statistics — (a) raw graphs via DataFrame aggregation,
-  * (b) default (γ, τ_size, k) and the graph after k-core pruning.
+/** Table 3: dataset statistics — (a) the raw graphs, (b) default (γ,
+  * τ_size, k) and the graph after k-core pruning.
   */
 class Table03_DatasetsBench extends BenchSpec {
 
@@ -12,14 +11,8 @@ class Table03_DatasetsBench extends BenchSpec {
     table("Table 3(a): statistics of (synthetic analogue) graph datasets")
     row(f"${"Data"}%-15s ${"|V|"}%9s ${"|E|"}%10s ${"|E|/|V|"}%8s ${"MaxDeg"}%7s")
     for (d <- Datasets.all) {
-      val edges = SynthData.graphEdges(spark, d.graph)
-      val s = SynthData.graphStats(spark, edges).head
-      val nV = d.graph.n // include isolated vertices, as the raw |V| of the dataset
-      val nE = s.getDouble(1).toLong
-      val maxDeg = s.getLong(2)
-      row(f"${d.name}%-15s $nV%9d $nE%10d ${nE.toDouble / nV}%8.2f $maxDeg%7d")
-      assert(nE == d.graph.numEdges)
-      assert(maxDeg == d.graph.maxDegree.toLong)
+      val g = d.graph // |V| includes isolated vertices, as the raw |V| of the dataset
+      row(f"${d.name}%-15s ${g.n}%9d ${g.numEdges}%10d ${g.numEdges.toDouble / g.n}%8.2f ${g.maxDegree}%7d")
     }
   }
 

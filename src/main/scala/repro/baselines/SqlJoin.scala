@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.SynthData
 import repro.graph.LocalGraph
 
 /** Catalyst/DataFrame self-join implementations of TC and GM — the stand-in
@@ -11,11 +10,20 @@ import repro.graph.LocalGraph
   */
 object SqlJoin {
 
+  /** `g`'s edges as a DataFrame (src, dst) with src < dst, one row per edge. */
+  def graphEdges(spark: SparkSession, g: LocalGraph): DataFrame = {
+    import spark.implicits._
+    val rows = g.packedEdges.map(e => (LocalGraph.unpackU(e), LocalGraph.unpackV(e)))
+    spark.sparkContext
+      .parallelize(rows.toIndexedSeq, math.max(1, spark.sparkContext.defaultParallelism))
+      .toDF("src", "dst")
+  }
+
   /** Triangle count: e1(a,b) ⋈ e2(b,c) ⋈ e3(a,c) with a<b<c. */
   def triangleCount(spark: SparkSession, g: LocalGraph): AppResult = {
     val t0 = System.nanoTime
-    val e = SynthData.graphEdges(spark, g).cache()
-    e.count() // materialize input outside nothing — the joins are the workload
+    val e = graphEdges(spark, g).cache()
+    e.count() // materialize the edge table first: the joins are the workload
     val e1 = e.toDF("a", "b")
     val e2 = e.toDF("b", "c")
     val e3 = e.toDF("a", "c")
@@ -27,7 +35,7 @@ object SqlJoin {
   /** 4-clique count: six-edge join over a<b<c<d. */
   def fourCliqueCount(spark: SparkSession, g: LocalGraph): AppResult = {
     val t0 = System.nanoTime
-    val e = SynthData.graphEdges(spark, g).cache()
+    val e = graphEdges(spark, g).cache()
     e.count()
     val ab = e.toDF("a", "b")
     val ac = e.toDF("a", "c")
@@ -46,7 +54,7 @@ object SqlJoin {
     * oracle (same SQL runs on both engines in tests).
     */
   def triangleCountDF(spark: SparkSession, g: LocalGraph): DataFrame = {
-    val e = SynthData.graphEdges(spark, g)
+    val e = graphEdges(spark, g)
     e.createOrReplaceTempView("edges")
     spark.sql(
       """SELECT count(*) AS n_triangles

@@ -94,7 +94,8 @@ final class PhaseTimers extends Serializable {
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
   * afterwards, exactly like the paper's post-processing phase.
   *
-  * Requires γ >= 0.5 (diameter-2 pruning, as in the paper's description).
+  * Requires γ >= 0.5: diameter-2 pruning (P1, as in the paper's
+  * description) and the degree-only validity check (`qBitsValid`) rest on it.
   */
 final class Miner(
     val g: LocalGraph,
@@ -134,12 +135,9 @@ final class Miner(
   private val reachRows  = new Array[Long](n * words)
   private val reachKnown = new Array[Long](words)
 
-  // scratch bitsets: a vertex set under test, BFS state, a cover-set
-  // candidate, the best cover set and the low-d_S vertices of S
+  // scratch bitsets: a vertex set under test, a cover-set candidate, the
+  // best cover set and the low-d_S vertices of S
   private val qBits = new Array[Long](words)
-  private val seen  = new Array[Long](words)
-  private val front = new Array[Long](words)
-  private val next  = new Array[Long](words)
   private val cand  = new Array[Long](words)
   private val cover = new Array[Long](words)
   private val low   = new Array[Long](words)
@@ -333,54 +331,28 @@ final class Miner(
     while (i <= f.sLen) { if (f.hist(i) != r.hist(i)) fail(s"d_S histogram bin $i"); i += 1 }
   }
 
-  /** Definition 1 for the m vertices in `qBits`: popcount degrees, then
-    * connectivity by a BFS whose frontier grows by OR-ing rows. The BFS is
-    * kept although γ >= 0.5 implies connectivity.
+  /** Definition 1 for the m vertices in `qBits`, by popcount degrees
+    * alone: with γ >= 0.5 the degree test implies connectivity. Each member
+    * has at least ⌈γ(m − 1)⌉ >= ⌈(m − 1)/2⌉ neighbours in the set (the
+    * table's 1e-9 guard keeps this). So two non-adjacent members have at
+    * least m − 1 neighbours between them among the other m − 2 and share
+    * one: the set has diameter <= 2 (Pei, Jiang & Zhang, KDD 2005).
     */
   private def qBitsValid(m: Int): Boolean = {
     if (m == 0) return false
-    if (m == 1) return true
     val need = ceilG(m - 1)
-    var first = -1
     var k = 0
     while (k < words) {
       var w = qBits(k)
       while (w != 0) {
-        val v = (k << 6) | numberOfTrailingZeros(w)
-        if (first < 0) first = v
-        val base = v * words; var d = 0; var j = 0
+        val base = ((k << 6) | numberOfTrailingZeros(w)) * words; var d = 0; var j = 0
         while (j < words) { d += bitCount(rows(base + j) & qBits(j)); j += 1 }
         if (d < need) return false
         w &= w - 1
       }
       k += 1
     }
-    clear(seen); clear(front)
-    seen(first >>> 6) = 1L << first; front(first >>> 6) = 1L << first
-    var reached = 1
-    var grew = true
-    while (grew) {
-      clear(next)
-      k = 0
-      while (k < words) {
-        var w = front(k)
-        while (w != 0) {
-          val base = ((k << 6) | numberOfTrailingZeros(w)) * words; var j = 0
-          while (j < words) { next(j) |= rows(base + j); j += 1 }
-          w &= w - 1
-        }
-        k += 1
-      }
-      grew = false
-      k = 0
-      while (k < words) {
-        val nw = next(k) & qBits(k) & ~seen(k)
-        front(k) = nw; seen(k) |= nw
-        if (nw != 0) { reached += bitCount(nw); grew = true }
-        k += 1
-      }
-    }
-    reached == m
+    true
   }
 
   /** Emit S if it is a large-enough γ-quasi-clique; returns true if emitted. */

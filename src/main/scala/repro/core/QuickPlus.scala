@@ -40,7 +40,7 @@ object TaskSpawn {
   def egoTask(g: LocalGraph, v: Int, k: Int): Option[(LocalGraph, Array[Int])] = {
     if (g.degree(v) < k) return None
     val pool = GraphOps.twoHopAbove(g, v, k)
-    if (pool.length + 1 < math.max(k + 1, 1)) return None
+    if (pool.length + 1 < k + 1) return None
     val verts = new Array[Int](pool.length + 1)
     verts(0) = v
     System.arraycopy(pool, 0, verts, 1, pool.length)

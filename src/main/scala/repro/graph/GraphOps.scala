@@ -216,9 +216,7 @@ object GraphOps {
   }
 
   /** Per-task subgraph features of Tables 1–2. */
-  final case class SubgraphFeatures(nV: Int, nE: Long, maxDeg: Int, avgDeg: Double, coreNum: Int) {
-    def toVector: Array[Double] = Array(nV.toDouble, nE.toDouble, maxDeg.toDouble, avgDeg, coreNum.toDouble)
-  }
+  final case class SubgraphFeatures(nV: Int, nE: Long, maxDeg: Int, avgDeg: Double, coreNum: Int)
 
   def features(g: LocalGraph): SubgraphFeatures =
     SubgraphFeatures(g.n, g.numEdges, g.maxDegree, g.avgDegree, degeneracy(g))

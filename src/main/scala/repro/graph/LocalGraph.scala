@@ -47,13 +47,6 @@ final class LocalGraph(val adj: Array[Array[Int]]) extends Serializable {
     }
     out.result()
   }
-
-  /** Number of vertices with degree > 0. */
-  def nonIsolated: Int = {
-    var c = 0; var i = 0
-    while (i < n) { if (adj(i).nonEmpty) c += 1; i += 1 }
-    c
-  }
 }
 
 object LocalGraph {

@@ -15,10 +15,6 @@ import scala.reflect.ClassTag
   */
 final case class QCTask(root: Int, s: Array[Int], ext: Array[Int])
 
-/** Per-task record for the straggler study of Tables 1–2. */
-final case class TaskStat(root: Int, nV: Int, nE: Long, maxDeg: Int,
-                          avgDeg: Double, coreNum: Int, mineNanos: Long)
-
 /** The three algorithm variants of Section 8. Each one decides, for a
   * child that survives bounding, whether the single set-enumeration search
   * (`Miner.mine`) recurses into it or spawns it as a new task.
@@ -62,8 +58,7 @@ final case class ATime(tauTimeMillis: Double) extends Mode {
 final case class EngineConfig(
     parallelism: Int,
     prioritizeBigTasks: Boolean = true,
-    tauSplit: Int = 100,
-    recordTaskStats: Boolean = false) {
+    tauSplit: Int = 100) {
   require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
   require(tauSplit >= 0, s"tauSplit must be non-negative, got $tauSplit")
 }
@@ -80,7 +75,6 @@ final case class EngineResult(
     miningMillis: Double,
     materializeMillis: Double,
     maxTaskMillis: Double,
-    taskStats: Seq[TaskStat],
     peakHeapMB: Long,
     roundCostMillis: Double) {
   def numMaximal: Int = maximal.size
@@ -98,7 +92,6 @@ private final case class Totals(mineNs: Long = 0L, matNs: Long = 0L, tasks: Long
 private sealed trait Emit extends Serializable
 private final case class EmitResult(vs: Array[Int]) extends Emit
 private final case class EmitTask(t: QCTask) extends Emit
-private final case class EmitStat(s: TaskStat) extends Emit
 private final case class EmitTotals(t: Totals) extends Emit
 
 /** The spawn job's partition body (round 0, Algorithms 4, 6, 7): one ego
@@ -123,7 +116,7 @@ private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
 
 /** A round's partition body: materialize and mine the partition's placed
   * tasks and the subtasks they spawn (local-first, LIFO), emitting results,
-  * spilled subtasks, optional task stats and the partition's totals. A placed
+  * spilled subtasks and the partition's totals. A placed
   * task and its local subtasks, its subtree, are mined back to back, because
   * the next placed task is taken only once the LIFO is empty. In the
   * redesigned engine a subtask spills when it is big and its subtree has run
@@ -149,7 +142,6 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
       val (sub, oldIds) = GraphOps.induced(graph, verts)
       val matNs = System.nanoTime - m0
-      val feats = if (conf.recordTaskStats) GraphOps.features(sub) else null
       var spawned, spilled = 0L
       val t1 = System.nanoTime
       val sink = (arr: Array[Int]) => {
@@ -168,8 +160,6 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
         mode.spawnRule(t.ext.length, conf.tauSplit, t1), spawnChild)
       val dt = System.nanoTime - t1
       tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
-      if (feats != null)
-        out += EmitStat(TaskStat(t.root, feats.nV, feats.nE, feats.maxDeg, feats.avgDeg, feats.coreNum, dt))
     }
     out += EmitTotals(tot)
     out.toArray
@@ -270,10 +260,9 @@ object Engine {
                       gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig,
                       wall0: Long)(initial: Broadcast[LocalGraph] => (Array[Emit], Long)): EngineResult = {
     if (gm.n == 0)
-      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB(), 0.0)
+      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, 0, usedHeapMB(), 0.0)
     val bc = sc.broadcast(gm)
     val results = ArrayBuffer.empty[Array[Int]]
-    val stats   = ArrayBuffer.empty[TaskStat]
     var totals  = Totals()
     var peakHeap = usedHeapMB()
     // keep what a job emitted and return the tasks for the next round
@@ -282,7 +271,6 @@ object Engine {
       emitted.foreach {
         case EmitResult(vs) => results += vs
         case EmitTask(t)    => next += t
-        case EmitStat(s)    => stats += s
         case EmitTotals(t)  => totals += t
       }
       peakHeap = math.max(peakHeap, usedHeapMB())
@@ -309,7 +297,7 @@ object Engine {
       maximal, results.length.toLong, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
       rounds, totals.tasks, totals.spawned, totals.spilled,
       totals.mineNs / 1e6, totals.matNs / 1e6, totals.maxTaskNs / 1e6,
-      stats.toSeq, peakHeap, roundCostNs / 1e6)
+      peakHeap, roundCostNs / 1e6)
   }
 
   /** Deal `items` into `slices` buckets. With `prioritizeBig` (the

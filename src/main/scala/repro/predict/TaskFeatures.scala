@@ -1,6 +1,14 @@
 package repro.predict
 
-import repro.gthinker.TaskStat
+import repro.core.{Miner, TaskSpawn}
+import repro.graph.{GraphOps, LocalGraph}
+import repro.graph.GraphOps.SubgraphFeatures
+import scala.collection.mutable.ArrayBuffer
+
+/** One ego task of Tables 1–2: its subgraph's features and the time its
+  * whole set-enumeration subtree took to mine.
+  */
+final case class TaskTime(features: SubgraphFeatures, mineNanos: Long)
 
 /** Feature extraction for the task-time regression of Tables 1–2: the
   * size/degree/core features of the task subgraph (the paper also used the
@@ -10,25 +18,47 @@ import repro.gthinker.TaskStat
   */
 object TaskFeatures {
 
-  def vector(s: TaskStat): Array[Double] = Array(
-    s.nV.toDouble,
-    s.nE.toDouble,
-    s.maxDeg.toDouble,
-    s.avgDeg,
-    s.coreNum.toDouble,
-    math.log1p(s.nV.toDouble),
-    math.log1p(s.nE.toDouble),
-    s.coreNum.toDouble * s.avgDeg)
+  /** Every ego task of `g` under A_base, which mines a task's ego network
+    * whole: the prelude (k-core, recoding), then for each spawned task its
+    * features and the time of `recursiveMine`, Miner set-up included, in
+    * spawn order. These are the tasks `Engine.run` processes under A_base,
+    * timed serially on one thread.
+    */
+  def egoTaskTimes(g: LocalGraph, gamma: Double, tauSize: Int): Seq[TaskTime] = {
+    val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = true)
+    val out = ArrayBuffer.empty[TaskTime]
+    var v = 0
+    while (v < mg.spawnUpper) {
+      TaskSpawn.egoTask(mg.graph, v, mg.k).foreach { case (task, _) =>
+        val features = GraphOps.features(task)
+        val t0 = System.nanoTime
+        new Miner(task, gamma, tauSize, _ => ()).recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
+        out += TaskTime(features, System.nanoTime - t0)
+      }
+      v += 1
+    }
+    out.toSeq
+  }
+
+  def vector(f: SubgraphFeatures): Array[Double] = Array(
+    f.nV.toDouble,
+    f.nE.toDouble,
+    f.maxDeg.toDouble,
+    f.avgDeg,
+    f.coreNum.toDouble,
+    math.log1p(f.nV.toDouble),
+    math.log1p(f.nE.toDouble),
+    f.coreNum.toDouble * f.avgDeg)
 
   /** Fit on (features -> mining millis) and return per-task predictions.
     * Training is capped at `maxTrain` tasks (largest-first by mining time is
     * NOT used — sampling is uniform by index stride — so the model has the
     * same information the paper's SVR had).
     */
-  def fitPredict(stats: Seq[TaskStat], lambda: Double = 1.0, sigma: Double = 2.0,
+  def fitPredict(tasks: Seq[TaskTime], lambda: Double = 1.0, sigma: Double = 2.0,
                  maxTrain: Int = 1200): Seq[Double] = {
-    val xs = stats.map(vector).toArray
-    val ys = stats.map(_.mineNanos / 1e6).toArray
+    val xs = tasks.map(t => vector(t.features)).toArray
+    val ys = tasks.map(_.mineNanos / 1e6).toArray
     val idx =
       if (xs.length <= maxTrain) xs.indices.toArray
       else {

@@ -1,6 +1,7 @@
 package repro.baselines
 
-import repro.{Oracle, SparkSpec, SynthData}
+import org.apache.spark.sql.functions.col
+import repro.{Oracle, SparkSpec}
 import repro.core.BruteForce
 import repro.graph.GraphGen
 
@@ -43,6 +44,13 @@ class AppsSpec extends SparkSpec {
     }
   }
 
+  test("graphEdges matches LocalGraph edge count and orientation") {
+    val g = GraphGen.erdosRenyi(30, 0.3, 5)
+    val e = SqlJoin.graphEdges(spark, g)
+    assert(e.count() == g.numEdges)
+    assert(e.filter(col("src") >= col("dst")).count() == 0)
+  }
+
   test("SqlJoin triangle count DataFrame is oracle-equivalent to DuckDB") {
     val g = GraphGen.erdosRenyi(28, 0.35, 9)
     val df = SqlJoin.triangleCountDF(spark, g)
@@ -50,7 +58,7 @@ class AppsSpec extends SparkSpec {
       """SELECT count(*) AS n_triangles
         |FROM edges e1 JOIN edges e2 ON e1.dst = e2.src
         |              JOIN edges e3 ON e1.src = e3.src AND e2.dst = e3.dst""".stripMargin,
-      "edges" -> SynthData.graphEdges(spark, g))
+      "edges" -> SqlJoin.graphEdges(spark, g))
   }
 
   test("EmbedExpand maxClique reports embedding explosion instead of running away") {

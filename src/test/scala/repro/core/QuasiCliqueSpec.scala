@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, GraphOps, LocalGraph}
 
 class QuasiCliqueSpec extends AnyFunSuite {
 
@@ -35,6 +35,30 @@ class QuasiCliqueSpec extends AnyFunSuite {
     val g = LocalGraph.fromPairs(6, Seq(0 -> 1, 1 -> 2, 2 -> 0, 3 -> 4, 4 -> 5, 5 -> 3))
     assert(!QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3, 4, 5), 0.4))
     assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2), 1.0))
+  }
+
+  // Miner.qBitsValid tests degrees only and relies on this lemma for
+  // connectivity.
+  test("the degree test implies connectivity for gamma >= 0.5, and not below") {
+    var passed = 0
+    for (p <- Seq(0.3, 0.5, 0.7); seed <- 1 to 5) {
+      val g = GraphGen.erdosRenyi(12, p, seed)
+      val nbrs = Array.tabulate(g.n)(v => g.adj(v).foldLeft(0)((bits, u) => bits | 1 << u))
+      for (gamma <- Seq(0.5, 0.6, 0.75, 1.0); q <- 1 until 1 << g.n) {
+        val vs = (0 until g.n).filter(v => (q >>> v & 1) == 1).toArray
+        val need = QuasiClique.ceilGamma(gamma, vs.length - 1)
+        if (vs.forall(v => Integer.bitCount(nbrs(v) & q) >= need)) {
+          if (vs.length >= 3) passed += 1
+          assert(GraphOps.connectedInduced(g, vs), s"p=$p seed=$seed gamma=$gamma Q=${vs.toSeq}")
+        }
+      }
+    }
+    assert(passed > 0, "no set of 3 or more vertices passed the degree test")
+    // two disjoint triangles: every degree is 2 >= ceil(0.4*5)=2
+    val g = LocalGraph.fromPairs(6, Seq(0 -> 1, 1 -> 2, 2 -> 0, 3 -> 4, 4 -> 5, 5 -> 3))
+    val all = Array(0, 1, 2, 3, 4, 5)
+    assert(all.forall(g.degree(_) >= QuasiClique.ceilGamma(0.4, all.length - 1)))
+    assert(!GraphOps.connectedInduced(g, all))
   }
 
   test("single vertex is a quasi-clique; empty set is not") {

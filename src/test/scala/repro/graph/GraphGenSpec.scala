@@ -68,6 +68,13 @@ class GraphGenSpec extends AnyFunSuite {
     assert(e.numEdges == 0)
   }
 
+  test("k-core statistics of the Table 3 datasets are reproducible") {
+    val d = GraphGen.gse1730Like()
+    val (c1, _) = GraphOps.kCoreSubgraph(d.graph, d.k)
+    val (c2, _) = GraphOps.kCoreSubgraph(GraphGen.gse1730Like().graph, d.k)
+    assert(c1.n == c2.n && c1.numEdges == c2.numEdges)
+  }
+
   test("figure 1 graph matches the paper's stated facts") {
     val g = GraphGen.figure1
     // N(v_d) = {a, c, e, h, i}, d(v_d) = 5

@@ -37,7 +37,7 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.degree(0) == 3 && g.degree(4) == 0)
     assert(g.maxDegree == 3)
     assert(math.abs(g.avgDegree - 6.0 / 5) < 1e-12)
-    assert(g.nonIsolated == 4)
+    assert((0 until g.n).count(g.degree(_) > 0) == 4)
   }
 
   test("pack/unpack round trip on boundary values") {
@@ -55,6 +55,6 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("empty graph basics") {
     val g = LocalGraph.empty(7)
-    assert(g.numEdges == 0 && g.maxDegree == 0 && g.nonIsolated == 0)
+    assert(g.numEdges == 0 && g.maxDegree == 0 && (0 until g.n).forall(g.degree(_) == 0))
   }
 }

@@ -6,8 +6,9 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.baselines.GThinkerApps
-import repro.core.{QuickPlus, BruteForce}
-import repro.graph.{GraphGen, LocalGraph, NearThreshold}
+import repro.core.{QuickPlus, BruteForce, TaskSpawn}
+import repro.graph.{GraphGen, GraphOps, LocalGraph, NearThreshold}
+import repro.predict.TaskFeatures
 
 /** The engine must produce exactly the serial Quick+ maximal result set, for
   * every mode (A_base / A_split / A_time), engine variant (old/new), and
@@ -98,13 +99,16 @@ class EngineSpec extends SparkSpec {
     assert(res.maxTaskMillis <= res.miningMillis + 1e-6)
   }
 
-  test("recordTaskStats yields one record per processed task with features") {
-    val g = GraphGen.erdosRenyi(40, 0.35, 9)
-    val res = Engine.run(spark.sparkContext, g, 0.7, 5, ABase, EngineConfig(4, recordTaskStats = true))
-    assert(res.taskStats.nonEmpty)
-    assert(res.taskStats.size == res.tasksProcessed)
-    res.taskStats.foreach { s =>
-      assert(s.nV >= 1); assert(s.mineNanos >= 0); assert(s.coreNum >= 0)
+  test("Tables 1-2 ego task times: one record per A_base task, with that task's features") {
+    val (g, gamma, tau) = (GraphGen.erdosRenyi(40, 0.35, 9), 0.7, 5)
+    val times = TaskFeatures.egoTaskTimes(g, gamma, tau)
+    val mg = TaskSpawn.prelude(g, gamma, tau, recode = true)
+    val tasks = (0 until mg.spawnUpper).flatMap(TaskSpawn.egoTask(mg.graph, _, mg.k))
+    assert(tasks.nonEmpty)
+    assert(times.size == tasks.size)
+    assert(times.size == Engine.run(spark.sparkContext, g, gamma, tau, ABase, EngineConfig(4)).tasksProcessed)
+    times.zip(tasks).foreach { case (t, (task, _)) =>
+      assert(t.features == GraphOps.features(task)); assert(t.mineNanos >= 0)
     }
   }
 

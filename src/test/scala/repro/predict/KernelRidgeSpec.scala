@@ -51,13 +51,13 @@ class KernelRidgeSpec extends AnyFunSuite {
   }
 
   test("TaskFeatures.fitPredict returns one prediction per task") {
-    import repro.gthinker.TaskStat
+    import repro.graph.GraphOps.SubgraphFeatures
     val rnd = new Random(8)
-    val stats = Seq.tabulate(50)(i =>
-      TaskStat(i, 10 + rnd.nextInt(100), rnd.nextInt(1000), rnd.nextInt(50),
-        rnd.nextDouble * 20, rnd.nextInt(20), (rnd.nextDouble * 1e8).toLong))
-    val preds = TaskFeatures.fitPredict(stats)
-    assert(preds.size == stats.size)
+    val tasks = Seq.fill(50)(TaskTime(
+      SubgraphFeatures(10 + rnd.nextInt(100), rnd.nextInt(1000), rnd.nextInt(50), rnd.nextDouble * 20, rnd.nextInt(20)),
+      (rnd.nextDouble * 1e8).toLong))
+    val preds = TaskFeatures.fitPredict(tasks)
+    assert(preds.size == tasks.size)
     assert(preds.forall(p => !p.isNaN && !p.isInfinite))
   }
 
