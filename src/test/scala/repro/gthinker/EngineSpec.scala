@@ -99,7 +99,7 @@ class EngineSpec extends SparkSpec {
     assert(res.maxTaskMillis <= res.miningMillis + 1e-6)
   }
 
-  test("Tables 1-2 ego task times: one record per A_base task, with that task's features") {
+  test("Tables 1-2 ego task times: one record per A_base task, with its features") {
     val (g, gamma, tau) = (GraphGen.erdosRenyi(40, 0.35, 9), 0.7, 5)
     val times = TaskFeatures.egoTaskTimes(g, gamma, tau)
     val mg = TaskSpawn.prelude(g, gamma, tau, recode = true)
