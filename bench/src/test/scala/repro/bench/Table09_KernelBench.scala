@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.core.BruteForce
 import repro.gthinker.{ABase, Engine, EngineConfig}
 import repro.kernel.KernelExpand
 

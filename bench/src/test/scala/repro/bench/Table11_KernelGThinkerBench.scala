@@ -13,7 +13,7 @@ class Table11_KernelGThinkerBench extends BenchSpec {
 
   private def expand(tau: Int, gamma: Double, k: Int) = {
     val d = Datasets("YouTube")
-    val kernels = KernelExpand.topKCliqueKernels(d.graph, k, coreK = d.k)
+    val kernels = KernelExpand.kernels(d.graph, 1.0, k, d.k)
     KernelExpand.expandOnEngine(sc, d.graph, kernels, gamma, tau,
       ATime(100.0), EngineConfig(16, tauSplit = 50), k = math.max(k, 100))
   }

@@ -19,15 +19,18 @@ object SqlJoin {
       .toDF("src", "dst")
   }
 
-  /** Triangle count: e1(a,b) ⋈ e2(b,c) ⋈ e3(a,c) with a<b<c. */
+  /** The triangles of edge table `e` as rows (a, b, c) with a<b<c:
+    * e1(a,b) ⋈ e2(b,c) ⋈ e3(a,c).
+    */
+  def triangles(e: DataFrame): DataFrame =
+    e.toDF("a", "b").join(e.toDF("b", "c"), "b").join(e.toDF("a", "c"), Seq("a", "c"))
+
+  /** Triangle count: the row count of `triangles`. */
   def triangleCount(spark: SparkSession, g: LocalGraph): AppResult = {
     val t0 = System.nanoTime
     val e = graphEdges(spark, g).cache()
     e.count() // materialize the edge table first: the joins are the workload
-    val e1 = e.toDF("a", "b")
-    val e2 = e.toDF("b", "c")
-    val e3 = e.toDF("a", "c")
-    val n = e1.join(e2, "b").join(e3, Seq("a", "c")).count()
+    val n = triangles(e).count()
     e.unpersist()
     AppResult(n, (System.nanoTime - t0) / 1e6)
   }
@@ -48,17 +51,5 @@ object SqlJoin {
       .count()
     e.unpersist()
     AppResult(n, (System.nanoTime - t0) / 1e6)
-  }
-
-  /** Triangle-count DataFrame with a single count column, for the DuckDB
-    * oracle (same SQL runs on both engines in tests).
-    */
-  def triangleCountDF(spark: SparkSession, g: LocalGraph): DataFrame = {
-    val e = graphEdges(spark, g)
-    e.createOrReplaceTempView("edges")
-    spark.sql(
-      """SELECT count(*) AS n_triangles
-        |FROM edges e1 JOIN edges e2 ON e1.dst = e2.src
-        |              JOIN edges e3 ON e1.src = e3.src AND e2.dst = e3.dst""".stripMargin)
   }
 }

@@ -401,61 +401,42 @@ final class Miner(
           if (plus) checkOutput(s, f.sLen)
           return true
         case Bounds.PruneAll => return true
-        case Bounds.Ok(us0, ls0) =>
-          if (us0 < ls0) return true
+        case Bounds.Ok(us, ls) =>
+          if (us < ls) return true
           if (!f.extDegrees) fillExtDegrees(f)
-          var us = us0; var ls = ls0
-          // ---- critical-vertex pruning (P6), looped until none remain ----
-          var critDone = false
-          while (!critDone && f.extLen > 0) {
-            val t0 = if (timers ne null) System.nanoTime else 0L
-            val sLen = f.sLen
-            val need = ceilG(sLen + ls - 1)
-            // N_ext(v) of each critical v (Quick: of the first one only) is
-            // appended to S in id order and unmarked in eBits, so a vertex
-            // moves once; degrees are updated after the scan
-            var end = sLen
-            var i = 0
-            while (i < sLen && (plus || end == sLen)) {
-              val v = s(i)
-              if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
-                val base = v * words; var k = 0
-                while (k < words) {
-                  var w = rows(base + k) & f.eBits(k)
-                  f.eBits(k) &= ~w
-                  while (w != 0) { s(end) = (k << 6) | numberOfTrailingZeros(w); end += 1; w &= w - 1 }
-                  k += 1
-                }
-              }
-              i += 1
-            }
-            if (timers ne null) timers.criticalNs += System.nanoTime - t0
-            if (end == sLen) critDone = true
-            else {
-              // the paper examines G(S) before expanding it (missed by Quick)
-              if (plus) checkOutput(s, sLen)
-              f.sLen = end
-              moveToS(f, sLen, end)
-              if (f.extLen > 0) {
-                boundsOf(f) match {
-                  case Bounds.PruneExtensions =>
-                    if (plus) checkOutput(s, f.sLen)
-                    return true
-                  case Bounds.PruneAll => return true
-                  case Bounds.Ok(u2, l2) =>
-                    if (u2 < l2) return true
-                    us = u2; ls = l2
-                }
+          // ---- critical-vertex pruning (P6); after a move, bound again ----
+          val t0 = if (timers ne null) System.nanoTime else 0L
+          val sLen = f.sLen
+          val need = ceilG(sLen + ls - 1)
+          // N_ext(v) of each critical v (Quick: of the first one only) is
+          // appended to S in id order and unmarked in eBits, so a vertex
+          // moves once; degrees are updated after the scan
+          var end = sLen
+          var i = 0
+          while (i < sLen && (plus || end == sLen)) {
+            val v = s(i)
+            if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
+              val base = v * words; var k = 0
+              while (k < words) {
+                var w = rows(base + k) & f.eBits(k)
+                f.eBits(k) &= ~w
+                while (w != 0) { s(end) = (k << 6) | numberOfTrailingZeros(w); end += 1; w &= w - 1 }
+                k += 1
               }
             }
+            i += 1
           }
-          if (f.extLen == 0) { looping = false }
-          else {
+          if (timers ne null) timers.criticalNs += System.nanoTime - t0
+          if (end > sLen) {
+            // the paper examines G(S) before expanding it (missed by Quick)
+            if (plus) checkOutput(s, sLen)
+            f.sLen = end
+            moveToS(f, sLen, end)
+          } else {
             // ---- Type-II pruning (Theorems 4, 6, 8) ----
             var thm4i = false
-            val sLen = f.sLen
             val needU = ceilG(sLen + us - 1); val needL = ceilG(sLen + ls - 1)
-            var i = 0
+            i = 0
             while (i < sLen) {
               val v = s(i); val ds = dS(v); val de = dExt(v)
               if (ds + de < ceilG(sLen - 1 + de)) return true   // Thm 4 (ii)

@@ -39,7 +39,7 @@ object TaskSpawn {
     */
   def egoTask(g: LocalGraph, v: Int, k: Int): Option[(LocalGraph, Array[Int])] = {
     if (g.degree(v) < k) return None
-    val pool = GraphOps.twoHopAbove(g, v, k)
+    val pool = GraphOps.twoHopAbove(g, v, v, k)
     if (pool.length + 1 < k + 1) return None
     val verts = new Array[Int](pool.length + 1)
     verts(0) = v
@@ -70,10 +70,10 @@ final case class MineOutcome(
 /** Serial drivers for Quick+ (and, via config, the original Quick).
   *
   * `mineSerial` is the single-threaded reference used by Table 15 and by
-  * every correctness test: the shared `TaskSpawn.prelude` (k-core, optional
-  * recoding, which lets us skip spawning from N(v_max) entirely), then each
-  * per-vertex ego task is mined with Algorithm 3 and non-maximal outputs are
-  * post-processed away.
+  * every correctness test: the shared `TaskSpawn.prelude` (k-core, then for
+  * Quick+ the cover recoding, which lets us skip spawning from N(v_max)
+  * entirely; Quick does not recode), then each per-vertex ego task is mined
+  * with Algorithm 3 and non-maximal outputs are post-processed away.
   */
 object QuickPlus {
 
@@ -89,12 +89,11 @@ object QuickPlus {
       gamma: Double,
       tauSize: Int,
       config: MinerConfig = MinerConfig.quickPlus,
-      recode: Boolean = true,
       timers: PhaseTimers = null,
       capMillis: Long = Long.MaxValue): MineOutcome = {
     val t0 = System.nanoTime
     val deadline = if (capMillis == Long.MaxValue) Long.MaxValue else t0 + capMillis * 1000000L
-    val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tauSize, recode)
+    val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tauSize, recode = config.isQuickPlus)
 
     val out = ArrayBuffer.empty[Array[Int]]
     var timedOut = false
@@ -127,5 +126,5 @@ object Quick {
   def mineSerial(g: LocalGraph, gamma: Double, tauSize: Int,
                  timers: PhaseTimers = null,
                  capMillis: Long = Long.MaxValue): MineOutcome =
-    QuickPlus.mineSerial(g, gamma, tauSize, MinerConfig.quick, recode = false, timers, capMillis)
+    QuickPlus.mineSerial(g, gamma, tauSize, MinerConfig.quick, timers, capMillis)
 }

@@ -150,16 +150,18 @@ object GraphOps {
     if (c.isEmpty) 0 else c.max
   }
 
-  /** Vertices within 2 hops of v (excluding v) whose id is > v — the
-    * candidate pool B_{>v}(v) a spawned task pulls (Algorithms 4, 6, 7).
-    * `minDegree` drops vertices pruned by Theorem 2 up front.
+  /** Vertices within 2 hops of v whose id is > `above`, ascending. With
+    * `above` = v this is the candidate pool B_{>v}(v) an ego task pulls
+    * (Algorithms 4, 6, 7); with −1 it is the whole 2-hop ball, v included
+    * if it has a neighbour (a kernel's pool). `minDegree` drops vertices
+    * pruned by Theorem 2 up front.
     */
-  def twoHopAbove(g: LocalGraph, v: Int, minDegree: Int): Array[Int] = {
+  def twoHopAbove(g: LocalGraph, v: Int, above: Int, minDegree: Int): Array[Int] = {
     val seen = marks.get
     seen.begin(g.n)
     val out = Array.newBuilder[Int]
     def visit(w: Int): Unit =
-      if (w > v && !seen.has(w) && g.degree(w) >= minDegree) { seen.put(w, 0); out += w }
+      if (w > above && !seen.has(w) && g.degree(w) >= minDegree) { seen.put(w, 0); out += w }
     val a = g.adj(v); var i = 0
     while (i < a.length) {
       val u = a(i)

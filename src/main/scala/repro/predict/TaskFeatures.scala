@@ -50,13 +50,14 @@ object TaskFeatures {
     math.log1p(f.nE.toDouble),
     f.coreNum.toDouble * f.avgDeg)
 
-  /** Fit on (features -> mining millis) and return per-task predictions.
-    * Training is capped at `maxTrain` tasks (largest-first by mining time is
-    * NOT used — sampling is uniform by index stride — so the model has the
-    * same information the paper's SVR had).
+  /** Fit a kernel ridge model (λ = 1, RBF σ = 2) on (features -> mining
+    * millis) and return per-task predictions. Training is capped at
+    * `maxTrain` tasks (largest-first by mining time is NOT used — sampling
+    * is uniform by index stride — so the model has the same information the
+    * paper's SVR had).
     */
-  def fitPredict(tasks: Seq[TaskTime], lambda: Double = 1.0, sigma: Double = 2.0,
-                 maxTrain: Int = 1200): Seq[Double] = {
+  def fitPredict(tasks: Seq[TaskTime]): Seq[Double] = {
+    val maxTrain = 1200
     val xs = tasks.map(t => vector(t.features)).toArray
     val ys = tasks.map(_.mineNanos / 1e6).toArray
     val idx =
@@ -65,7 +66,7 @@ object TaskFeatures {
         val stride = xs.length.toDouble / maxTrain
         (0 until maxTrain).map(i => (i * stride).toInt).distinct.toArray
       }
-    val model = new KernelRidge(lambda, sigma).fit(idx.map(xs), idx.map(ys))
+    val model = new KernelRidge(lambda = 1.0, sigma = 2.0).fit(idx.map(xs), idx.map(ys))
     xs.map(model.predict).toSeq
   }
 }

@@ -51,14 +51,14 @@ class AppsSpec extends SparkSpec {
     assert(e.filter(col("src") >= col("dst")).count() == 0)
   }
 
-  test("SqlJoin triangle count DataFrame is oracle-equivalent to DuckDB") {
+  test("SqlJoin triangle join is oracle-equivalent to DuckDB") {
     val g = GraphGen.erdosRenyi(28, 0.35, 9)
-    val df = SqlJoin.triangleCountDF(spark, g)
-    Oracle.assertEquivalent(df,
-      """SELECT count(*) AS n_triangles
+    val edges = SqlJoin.graphEdges(spark, g)
+    Oracle.assertEquivalent(SqlJoin.triangles(edges),
+      """SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
         |FROM edges e1 JOIN edges e2 ON e1.dst = e2.src
         |              JOIN edges e3 ON e1.src = e3.src AND e2.dst = e3.dst""".stripMargin,
-      "edges" -> SqlJoin.graphEdges(spark, g))
+      "edges" -> edges)
   }
 
   test("EmbedExpand maxClique reports embedding explosion instead of running away") {

@@ -73,15 +73,6 @@ class MinerCorrectnessSpec extends SparkSpec {
     }
   }
 
-  test("Quick+ without recoding gives the same maximal sets") {
-    for (seed <- 1 to 4) {
-      val g = GraphGen.erdosRenyi(11, 0.6, seed)
-      val a = canonSet(QuickPlus.mineSerial(g, 0.7, 4, recode = true).maximal)
-      val b = canonSet(QuickPlus.mineSerial(g, 0.7, 4, recode = false).maximal)
-      assert(a == b)
-    }
-  }
-
   test("Quick is sound (only valid quasi-cliques) but misses results that Quick+ finds") {
     var missedSomewhere = false
     for (seed <- 1 to 8) {

@@ -224,7 +224,7 @@ class MinerInternalsSpec extends AnyFunSuite {
   private def assertCheckedRunMatches(g: LocalGraph, gamma: Double, tau: Int, label: String): Int =
     Seq(MinerConfig.quickPlus, MinerConfig.quick).map { config =>
       val (checked, widest) = checkedMine(g, gamma, tau, config)
-      val plain = QuickPlus.mineSerial(g, gamma, tau, config, recode = config.isQuickPlus).candidates.map(_.toVector)
+      val plain = QuickPlus.mineSerial(g, gamma, tau, config).candidates.map(_.toVector)
       assert(checked == plain, s"$label quickPlus=${config.isQuickPlus}: checked run emitted other candidates")
       widest
     }.max

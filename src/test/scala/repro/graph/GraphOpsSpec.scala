@@ -70,7 +70,7 @@ class GraphOpsSpec extends AnyFunSuite {
   for (seed <- 1 to 4) test(s"twoHopAbove matches BFS definition (seed=$seed)") {
     val g = GraphGen.erdosRenyi(25, 0.15, seed * 5)
     for (v <- 0 until g.n by 3; minDeg <- Seq(0, 2))
-      assert(GraphOps.twoHopAbove(g, v, minDeg).toSet == naiveTwoHop(g, v, minDeg), s"v=$v minDeg=$minDeg")
+      assert(GraphOps.twoHopAbove(g, v, v, minDeg).toSet == naiveTwoHop(g, v, minDeg), s"v=$v minDeg=$minDeg")
   }
 
   test("connectedInduced: positive and negative cases") {

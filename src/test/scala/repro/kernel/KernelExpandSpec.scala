@@ -50,20 +50,34 @@ class KernelExpandSpec extends SparkSpec {
     assert(pool == expect)
   }
 
-  test("topKCliqueKernels finds the largest cliques") {
+  test("kernels at gamma' = 1 are the largest cliques, largest first") {
     val g = twoRegions
-    val ks = KernelExpand.topKCliqueKernels(g, 2, coreK = 3)
-    assert(ks.nonEmpty)
-    assert(ks.head.length == 7) // the biggest clique
-    assert(ks.head.toSet == (0 until 7).toSet)
+    val ks = KernelExpand.kernels(g, 1.0, 2, 4)
+    assert(ks.map(_.toVector) == Seq((0 until 7).toVector, (10 until 16).toVector))
     ks.foreach { c =>
       for (a <- c; b <- c if a != b) assert(g.hasEdge(a, b))
     }
   }
 
+  test("a kernel outside the k-core: no task on either path, still returned") {
+    val g = twoRegions
+    val ks = KernelExpand.kernels(g, 1.0, 2, 4) // the 7-clique, then the 6-clique
+    // gamma = 0.9, tau = 7: the 6-core keeps the 7-clique and peels the 6-clique
+    val (_, tasks) = KernelExpand.kernelTasks(g, ks, 0.9, 7)
+    assert(tasks.map(_.root).toSeq == Seq(0))
+    val serial = KernelExpand.expandSerial(g, ks, 0.9, 7, k = 10)
+    val eng = KernelExpand.expandOnEngine(spark.sparkContext, g, ks, 0.9, 7,
+      ASplit, EngineConfig(2, tauSplit = 4), k = 10)
+    for (out <- Seq(serial, eng)) {
+      assert(out.numKernels == 2)
+      assert(canonSet(out.topK) == canonSet(ks))
+    }
+    assert(serial.numResults == eng.numResults)
+  }
+
   test("engine-based kernel expansion agrees with the serial expansion") {
     val g = twoRegions
-    val kernels = KernelExpand.topKCliqueKernels(g, 2, coreK = 3)
+    val kernels = KernelExpand.kernels(g, 1.0, 2, 4)
     val eng = KernelExpand.expandOnEngine(spark.sparkContext, g, kernels, 0.8, 4,
       ASplit, EngineConfig(2, tauSplit = 4), k = 10)
     val truth = canonSet(BruteForce.allMaximal(g, 0.8, 4))
