@@ -13,8 +13,14 @@ import scala.collection.mutable.ArrayBuffer
   *    before a critical-vertex move, on Theorem 4 Condition (i), and when
   *    ext(S') becomes empty after diameter shrinking (Quick misses these
   *    checks and thus can miss maximal results).
+  *
+  * `extraPrunes` adds two sound prunes that the paper's P1–P7 lack
+  * (DESIGN.md, "Rules A and B"): rule A, a common-neighbour bound on every
+  * pair of members that generalises P1, and rule B, a non-neighbour budget
+  * on the members of S (the upper-bound dual of P6). They cut search nodes,
+  * not results: the maximal sets are the same.
   */
-final case class MinerConfig(isQuickPlus: Boolean)
+final case class MinerConfig(isQuickPlus: Boolean, extraPrunes: Boolean)
 
 object Miner {
   /** Thrown when a mining run exceeds its wall-clock cap (used by the
@@ -52,8 +58,12 @@ object Miner {
 }
 
 object MinerConfig {
-  val quickPlus: MinerConfig = MinerConfig(isQuickPlus = true)
-  val quick: MinerConfig     = MinerConfig(isQuickPlus = false)
+  /** Quick+ with rules A and B: the default of every miner. */
+  val quickPlus: MinerConfig      = MinerConfig(isQuickPlus = true, extraPrunes = true)
+  /** Quick+ as published (P1–P7 only), for Tables 15 and 16. */
+  val quickPlusPaper: MinerConfig = MinerConfig(isQuickPlus = true, extraPrunes = false)
+  /** The original Quick, as published (Table 15). */
+  val quick: MinerConfig          = MinerConfig(isQuickPlus = false, extraPrunes = false)
 }
 
 /** Wall-clock nanoseconds spent in each pruning phase (Table 16).
@@ -83,12 +93,12 @@ final class PhaseTimers extends Serializable {
   * or spawned as a new task. The instance is single-threaded.
   *
   * The adjacency is held as bitset rows (n²/8 bytes), so degrees into S and
-  * ext, the validity checks, the cover set (P7) and the diameter shrink (P1)
-  * are word-parallel ANDs, ORs and popcounts. Each search depth keeps one
-  * frame of primitive arrays, reused across siblings: S, ext, their bitsets
-  * and their degrees, derived from the parent's frame. So the search
-  * allocates only what it emits or spawns, and only the task root computes
-  * its degrees from scratch.
+  * ext, the validity checks, the cover set (P7) and the diameter shrink (P1
+  * or rule A) are word-parallel ANDs, ORs and popcounts. Each search depth
+  * keeps one frame of primitive arrays, reused across siblings: S, ext,
+  * their bitsets and their degrees, derived from the parent's frame. So the
+  * search allocates only what it emits or spawns, and only the task root
+  * computes its degrees from scratch.
   *
   * Every candidate result is emitted through `sink` (vertex ids of `g`,
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
@@ -111,7 +121,8 @@ final class Miner(
   require(g.n < (1 << 21), s"task graph too large for the miner: ${g.n} vertices")
   import java.lang.Long.{bitCount, numberOfTrailingZeros}
 
-  private val plus = config.isQuickPlus
+  private val plus  = config.isQuickPlus
+  private val extra = config.extraPrunes
 
   private val n = g.n
   // adjacency bitsets: the neighbours of v are the set bits of
@@ -130,17 +141,26 @@ final class Miner(
   // ⌈γ·m⌉ for every m a prune test asks about (all m <= n + 1)
   private[core] val ceilG = QuasiClique.ceilTable(gamma, n + 1)
 
-  // 2-hop reach of v (its row OR its neighbours' rows), laid out like rows
-  // and filled the first time v branches; reachKnown marks the filled ones
-  private val reachRows  = new Array[Long](n * words)
-  private val reachKnown = new Array[Long](words)
+  // rule A: a member pair of any result shares at least pairNon common
+  // neighbours if non-adjacent and pairAdj if adjacent; P1 alone is 1 and 0
+  private val minF    = if (extra) QuasiClique.minPairBound(gamma, tauSize, n) else 1
+  private val pairNon = math.max(1, minF)
+  private val pairAdj = math.max(0, minF - 2)
+
+  // pair row of v: the w that may share a result with v, laid out like rows
+  // and filled the first time v is asked for (`pairRow`); pairKnown marks
+  // the filled ones
+  private val pairRows  = new Array[Long](n * words)
+  private val pairKnown = new Array[Long](words)
 
   // scratch bitsets: a vertex set under test, a cover-set candidate, the
-  // best cover set and the low-d_S vertices of S
+  // best cover set, the low-d_S vertices of S and rule B's common
+  // neighbours of the saturated vertices of S
   private val qBits = new Array[Long](words)
   private val cand  = new Array[Long](words)
   private val cover = new Array[Long](words)
   private val low   = new Array[Long](words)
+  private val sat   = new Array[Long](words)
   // scratch for Type-I removals and ordering ext
   private val removed = new Array[Int](n)
   private val keys    = new Array[Long](n)
@@ -162,6 +182,9 @@ final class Miner(
   // on every 64th, and never without one
   private val capped = deadlineNanos != Long.MaxValue
   private var branches = 0
+
+  /** Children derived so far (tests compare the presets by it). */
+  private[core] var derived = 0L
 
   @inline private def has(bits: Array[Long], v: Int): Boolean = (bits(v >>> 6) & (1L << v)) != 0
   /** 1 if u and v are adjacent, else 0. */
@@ -195,6 +218,13 @@ final class Miner(
     d
   }
 
+  /** |N(u) ∩ N(w)| by popcount over both rows. */
+  private def common(u: Int, w: Int): Int = {
+    val bu = u * words; val bw = w * words; var d = 0; var k = 0
+    while (k < words) { d += bitCount(rows(bu + k) & rows(bw + k)); k += 1 }
+    d
+  }
+
   /** f's whole state from its S and ext arrays (T2): the task root and the
     * test hooks start from this; every other frame derives or updates it.
     */
@@ -215,7 +245,7 @@ final class Miner(
 
   /** The state of child c = ⟨S ∪ {v}, ext'⟩ from its parent f, whose state
     * is exact and whose `rest` has just lost v: ext' (already in c.ext, v's
-    * reach row cached) is rest ∧ ¬S ∧ reach(v), d_S of a vertex gains one if
+    * pair row cached) is rest ∧ ¬S ∧ pair(v), d_S of a vertex gains one if
     * it is v's neighbour, the histogram counts ext' afresh, and d_ext is
     * counted for S ∪ {v} only.
     */
@@ -224,7 +254,7 @@ final class Miner(
     var k = 0
     while (k < words) {
       c.sBits(k) = f.sBits(k)
-      c.eBits(k) = f.rest(k) & ~f.sBits(k) & reachRows(rv + k)
+      c.eBits(k) = f.rest(k) & ~f.sBits(k) & pairRows(rv + k)
       k += 1
     }
     c.sBits(v >>> 6) |= 1L << v
@@ -434,7 +464,7 @@ final class Miner(
             moveToS(f, sLen, end)
           } else {
             // ---- Type-II pruning (Theorems 4, 6, 8) ----
-            var thm4i = false
+            var thm4i = false; var saturated = false
             val needU = ceilG(sLen + us - 1); val needL = ceilG(sLen + ls - 1)
             i = 0
             while (i < sLen) {
@@ -443,6 +473,14 @@ final class Miner(
               if (ds + us < needU) return true                  // Thm 6
               if (ds + de < needL) return true                  // Thm 8
               if (de == 0 && ds < ceilG(sLen)) thm4i = true     // Thm 4 (i)
+              if (extra && ds + us == needU) {
+                // rule B: v already has the B(|S| + U_S) non-neighbours in S
+                // that a result may give it, so every extension is v's
+                // neighbour (one more non-neighbour is Thm 6)
+                val base = v * words; var k = 0
+                if (saturated) while (k < words) { sat(k) &= rows(base + k); k += 1 }
+                else { System.arraycopy(rows, base, sat, 0, words); saturated = true }
+              }
               i += 1
             }
             if (thm4i) {
@@ -458,7 +496,8 @@ final class Miner(
               val pruned =
                 ds + de < ceilG(sLen + de) ||  // Thm 3
                 ds + us - 1 < needU ||         // Thm 5
-                ds + de < needL                // Thm 7
+                ds + de < needL ||             // Thm 7
+                saturated && !has(sat, u)      // rule B
               if (pruned) { f.eBits(u >>> 6) &= ~(1L << u); f.hist(ds) -= 1; removed(nRemoved) = u; nRemoved += 1 }
               else { f.ext(kept) = u; kept += 1 }
               i += 1
@@ -591,26 +630,52 @@ final class Miner(
     ok
   }
 
-  /** ext(from until to) filtered, in order, to the vertices within 2 hops
-    * of v (diameter pruning, P1), written to `out`; returns their count.
+  /** The offset of v's pair row in `pairRows`, filled on the first call:
+    * the w that share at least pairAdj common neighbours with v if adjacent
+    * to it and pairNon if not (rule A). It starts as v's 2-hop reach (its
+    * row OR its neighbours' rows), which is the whole pair row under P1
+    * alone (thresholds 0 and 1); otherwise each 2-hop vertex pays one
+    * popcount.
     */
-  private def diameterShrink(ext: Array[Int], from: Int, to: Int, v: Int, out: Array[Int]): Int = {
+  private def pairRow(v: Int): Int = {
     val rv = v * words
-    if (!has(reachKnown, v)) {
-      System.arraycopy(rows, rv, reachRows, rv, words)
+    if (!has(pairKnown, v)) {
+      System.arraycopy(rows, rv, pairRows, rv, words)
       val av = g.adj(v); var i = 0
       while (i < av.length) {
         val base = av(i) * words; var k = 0
-        while (k < words) { reachRows(rv + k) |= rows(base + k); k += 1 }
+        while (k < words) { pairRows(rv + k) |= rows(base + k); k += 1 }
         i += 1
       }
-      reachKnown(v >>> 6) |= 1L << v
+      if (pairNon > 1 || pairAdj > 0) {
+        var k = 0
+        while (k < words) {
+          var w = pairRows(rv + k)
+          while (w != 0) {
+            val bit = w & -w
+            val need = if ((rows(rv + k) & bit) != 0) pairAdj else pairNon
+            if (common(v, (k << 6) | numberOfTrailingZeros(w)) < need) pairRows(rv + k) &= ~bit
+            w ^= bit
+          }
+          k += 1
+        }
+      }
+      pairKnown(v >>> 6) |= 1L << v
     }
+    rv
+  }
+
+  /** ext(from until to) filtered, in order, to v's pair row (diameter
+    * pruning, P1, or rule A), written to `out` (which may be `ext` itself
+    * when from = 0); returns their count.
+    */
+  private def diameterShrink(ext: Array[Int], from: Int, to: Int, v: Int, out: Array[Int]): Int = {
+    val rv = pairRow(v)
     var len = 0
     var i = from
     while (i < to) {
       val u = ext(i)
-      if ((reachRows(rv + (u >>> 6)) & (1L << u)) != 0) { out(len) = u; len += 1 }
+      if ((pairRows(rv + (u >>> 6)) & (1L << u)) != 0) { out(len) = u; len += 1 }
       i += 1
     }
     len
@@ -641,7 +706,10 @@ final class Miner(
     */
   def mine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int], spawnAt: Int => Boolean,
            spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
-    computeDegrees(load(0, s0, ext0))
+    val f = load(0, s0, ext0)
+    // rule A at the task root: ext0 keeps the pair rows of all of S0
+    if (extra) { var i = 0; while (i < f.sLen) { f.extLen = diameterShrink(f.ext, 0, f.extLen, f.s(i), f.ext); i += 1 } }
+    computeDegrees(f)
     search(0, spawnAt, spawn)
   }
 
@@ -674,6 +742,7 @@ final class Miner(
         if (plus && checkOutput(c.s, c.sLen)) qFound = true
       } else if (c.sLen + c.extLen >= tauSize) {
         // (a smaller child could emit nothing: bounding only shrinks it)
+        derived += 1
         deriveChild(f, c, v)
         if (!iterativeBounding(c)) {
           if (spawnAt(depth)) {

@@ -23,6 +23,26 @@ object QuasiClique {
     t
   }
 
+  /** f(m) = 2⌈γ(m − 1)⌉ − m + 2: two members of a γ-quasi-clique of m
+    * vertices each have at least ⌈γ(m − 1)⌉ neighbours in it, all but each
+    * other among the other m − 2, so they share at least f(m) neighbours
+    * if they are not adjacent and f(m) − 2 if they are (rule A, DESIGN.md).
+    */
+  def pairBound(gamma: Double, m: Int): Int = 2 * ceilGamma(gamma, m - 1) - m + 2
+
+  /** The least f(m) over max(τ_size, 2) <= m <= n: the common-neighbour
+    * bound of every member pair of a result in an n-vertex task. f is not
+    * monotone (it steps down where ⌈γm⌉ skips), so every m is tried. An
+    * empty range gives 1, P1's bound.
+    */
+  def minPairBound(gamma: Double, tauSize: Int, n: Int): Int = {
+    var m = math.max(tauSize, 2)
+    if (m > n) return 1
+    var least = Int.MaxValue
+    while (m <= n) { least = math.min(least, pairBound(gamma, m)); m += 1 }
+    least
+  }
+
   /** ⌊x/γ⌋ with the symmetric epsilon guard (used by the U_S bound). */
   def floorDiv(x: Double, gamma: Double): Int = math.floor(x / gamma + 1e-9).toInt
 

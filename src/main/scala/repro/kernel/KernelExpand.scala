@@ -23,7 +23,8 @@ object KernelExpand {
       numResults: Int,
       numMaximal: Int,
       millis: Double,
-      numKernels: Int)
+      numKernels: Int,
+      numTasks: Int)
 
   /** The top-k' kernels: the first `kPrime` maximal γ'-quasi-cliques of at
     * least `tauP` vertices that Quick+ returns, which come sorted by size
@@ -69,14 +70,15 @@ object KernelExpand {
     (mg, tasks.toArray)
   }
 
-  /** The shared tail: the mined `results` plus the kernels themselves (each
-    * a γ-QC, as γ' > γ), post-processed to the maximal sets, the k largest.
+  /** The shared tail: the mined `results` of `numTasks` expansion tasks
+    * plus the kernels themselves (each a γ-QC, as γ' > γ), post-processed
+    * to the maximal sets, the k largest.
     */
   private def outcome(results: Seq[Array[Int]], numResults: Int, kernels: Seq[Array[Int]],
-                      k: Int, t0: Long): KernelOutcome = {
+                      numTasks: Int, k: Int, t0: Long): KernelOutcome = {
     val maximal = Maximality.filterMaximal(results ++ kernels.map(QuasiClique.canon))
     KernelOutcome(maximal.take(k), numResults + kernels.size, maximal.size,
-      (System.nanoTime - t0) / 1e6, kernels.size)
+      (System.nanoTime - t0) / 1e6, kernels.size, numTasks)
   }
 
   /** Serial [31] pipeline (Table 9). `gammaP` (γ') and `kPrime` (k') pick the
@@ -106,7 +108,7 @@ object KernelExpand {
       miner.recursiveMine(ArrayBuffer.from(0 until s.length),
                           ArrayBuffer.from(s.length until sub.n))
     }
-    outcome(out.toSeq, out.length, kernels, k, t0)
+    outcome(out.toSeq, out.length, kernels, tasks.length, k, t0)
   }
 
   /** Kernel expansion ON the G-thinker engine (Table 11): each kernel
@@ -120,6 +122,6 @@ object KernelExpand {
     val t0 = System.nanoTime
     val (MiningGraph(_, gK, idsK, _), tasks) = kernelTasks(g, kernels, gamma, tauSize)
     val res = Engine.runFromTasks(sc, gK, idsK, tasks, gamma, tauSize, mode, conf)
-    outcome(res.maximal, res.numCandidates.toInt, kernels, k, t0)
+    outcome(res.maximal, res.numCandidates.toInt, kernels, tasks.length, k, t0)
   }
 }

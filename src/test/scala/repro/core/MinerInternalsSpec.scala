@@ -12,8 +12,9 @@ import scala.util.Random
 class MinerInternalsSpec extends AnyFunSuite {
 
   private def newMiner(g: LocalGraph, gamma: Double, tau: Int,
-                       out: ArrayBuffer[Array[Int]] = ArrayBuffer.empty): Miner =
-    new Miner(g, gamma, tau, arr => { out += arr; () })
+                       out: ArrayBuffer[Array[Int]] = ArrayBuffer.empty,
+                       config: MinerConfig = MinerConfig.quickPlus): Miner =
+    new Miner(g, gamma, tau, arr => { out += arr; () }, config)
 
   // ------------------------------------------------------ cover vertex P7
 
@@ -62,6 +63,8 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // --------------------------------------------------- diameter shrink P1
 
+  // The paper preset filters by the plain 2-hop row (P1); the default one
+  // by rule A's pair row, checked further down.
   for (seed <- 1 to 6) test(s"diameterShrink keeps exactly the 2-hop reachable ext vertices (seed=$seed)") {
     // average degree 3 at every n; n > 64 spans several bitset words
     for (n <- Seq(20, 63, 64, 65, 130)) {
@@ -70,7 +73,7 @@ class MinerInternalsSpec extends AnyFunSuite {
       val perm = rnd.shuffle((0 until g.n).toList)
       val v = perm.head
       val ext = perm.tail.take(n / 2)
-      val miner = newMiner(g, 0.9, 2)
+      val miner = newMiner(g, 0.9, 2, config = MinerConfig.quickPlusPaper)
       val got = miner.diameterShrink(ArrayBuffer.from(ext), v)
       val expect = ext.filter { u =>
         g.hasEdge(u, v) || g.adj(u).exists(w => g.hasEdge(w, v))
@@ -87,12 +90,61 @@ class MinerInternalsSpec extends AnyFunSuite {
     for (n <- Seq(63, 64, 65, 130)) {
       val g = GraphGen.erdosRenyi(n, 3.0 / n, seed * 5 + n)
       val rnd = new Random(seed * 1000 + n)
-      val miner = newMiner(g, 0.9, 2)
+      val miner = newMiner(g, 0.9, 2, config = MinerConfig.quickPlusPaper)
       val vs = rnd.shuffle((0 until n).toList).take(8)
       for (_ <- 1 to 6; v <- rnd.shuffle(vs)) {
         val ext = rnd.shuffle((0 until n).filter(_ != v).toList).take(1 + rnd.nextInt(n - 1))
         val expect = ext.filter(u => g.hasEdge(u, v) || g.adj(u).exists(w => g.hasEdge(w, v)))
         assert(miner.diameterShrink(ArrayBuffer.from(ext), v).toSeq == expect, s"n=$n v=$v")
+      }
+    }
+  }
+
+  /** Rule A's pair row of v, from adjacency lists: the u with at least
+    * f − 2 common neighbours with v if adjacent and f if not (floored at
+    * 0 and 1), f the least pair bound of a result of τ..n vertices.
+    */
+  private def pairFilter(g: LocalGraph, gamma: Double, tau: Int, v: Int, ext: Seq[Int]): Seq[Int] = {
+    val f = QuasiClique.minPairBound(gamma, tau, g.n)
+    val nv = g.adj(v).toSet
+    ext.filter { u =>
+      val common = g.adj(u).count(nv)
+      if (g.hasEdge(u, v)) common >= math.max(0, f - 2) else common >= math.max(1, f)
+    }
+  }
+
+  // graphs dense enough that a pair has about 4 common neighbours, near
+  // rule A's thresholds, so the rows keep some 2-hop vertices and drop others
+  private def pairGraph(n: Int, seed: Int): LocalGraph = GraphGen.erdosRenyi(n, math.sqrt(4.0 / n), seed)
+  private val pairParams = Seq((0.75, 8), (0.9, 6), (0.6, 12))
+
+  for (seed <- 1 to 6) test(s"diameterShrink keeps rule A's pair row (seed=$seed)") {
+    var kept2Hop, dropped2Hop = 0
+    for (n <- Seq(20, 63, 64, 65, 130); (gamma, tau) <- pairParams) {
+      val g = pairGraph(n, seed * 7 + n)
+      val rnd = new Random(seed)
+      val perm = rnd.shuffle((0 until g.n).toList)
+      val v = perm.head
+      val ext = perm.tail.take(n / 2)
+      val got = newMiner(g, gamma, tau).diameterShrink(ArrayBuffer.from(ext), v)
+      val expect = pairFilter(g, gamma, tau, v, ext)
+      assert(got.toSeq == expect, s"n=$n v=$v gamma=$gamma tau=$tau")
+      val twoHop = ext.count(u => g.hasEdge(u, v) || g.adj(u).exists(w => g.hasEdge(w, v)))
+      kept2Hop += expect.length; dropped2Hop += twoHop - expect.length
+    }
+    assert(kept2Hop > 0 && dropped2Hop > 0, s"kept $kept2Hop and dropped $dropped2Hop 2-hop vertices")
+  }
+
+  for (seed <- 1 to 3) test(s"diameterShrink re-reads cached pair rows (seed=$seed)") {
+    for (n <- Seq(63, 64, 65, 130); (gamma, tau) <- pairParams) {
+      val g = pairGraph(n, seed * 5 + n)
+      val rnd = new Random(seed * 1000 + n)
+      val miner = newMiner(g, gamma, tau)
+      val vs = rnd.shuffle((0 until n).toList).take(8)
+      for (_ <- 1 to 6; v <- rnd.shuffle(vs)) {
+        val ext = rnd.shuffle((0 until n).filter(_ != v).toList).take(1 + rnd.nextInt(n - 1))
+        assert(miner.diameterShrink(ArrayBuffer.from(ext), v).toSeq == pairFilter(g, gamma, tau, v, ext),
+          s"n=$n v=$v gamma=$gamma tau=$tau")
       }
     }
   }
@@ -203,29 +255,32 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // ------------------------------------------ derived bounding state
 
-  /** Mines g as `mineSerial` does (prelude, one miner per ego task) with
-    * every miner in checked mode, which compares each derived or updated
-    * frame state with a full recompute and throws on a difference. Returns
-    * the candidates in emission order and the widest task's vertex count.
+  /** Mines g as `mineSerial` does (prelude, one miner per ego task), with
+    * every miner in checked mode if `checked`: it compares each derived or
+    * updated frame state with a full recompute and throws on a difference.
+    * Returns the candidates in emission order, the widest task's vertex
+    * count and the children the miners derived.
     */
-  private def checkedMine(g: LocalGraph, gamma: Double, tau: Int, config: MinerConfig): (Seq[Vector[Int]], Int) = {
+  private def perTaskMine(g: LocalGraph, gamma: Double, tau: Int, config: MinerConfig,
+                          checked: Boolean): (Seq[Vector[Int]], Int, Long) = {
     val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tau, recode = config.isQuickPlus)
     val out = ArrayBuffer.empty[Vector[Int]]
-    var widest = 0
+    var widest = 0; var derived = 0L
     for (v <- 0 until spawnUpper; (task, taskIds) <- TaskSpawn.egoTask(gm, v, k)) {
       widest = math.max(widest, task.n)
       val miner = new Miner(task, gamma, tau, arr => { out += QuasiClique.canon(arr.map(x => ids(taskIds(x)))).toVector; () }, config)
-      miner.checkState = true
+      miner.checkState = checked
       miner.recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
+      derived += miner.derived
     }
-    (out.toSeq, widest)
+    (out.toSeq, widest, derived)
   }
 
   private def assertCheckedRunMatches(g: LocalGraph, gamma: Double, tau: Int, label: String): Int =
-    Seq(MinerConfig.quickPlus, MinerConfig.quick).map { config =>
-      val (checked, widest) = checkedMine(g, gamma, tau, config)
+    Seq(MinerConfig.quickPlus, MinerConfig.quickPlusPaper, MinerConfig.quick).map { config =>
+      val (checked, widest, _) = perTaskMine(g, gamma, tau, config, checked = true)
       val plain = QuickPlus.mineSerial(g, gamma, tau, config).candidates.map(_.toVector)
-      assert(checked == plain, s"$label quickPlus=${config.isQuickPlus}: checked run emitted other candidates")
+      assert(checked == plain, s"$label $config: checked run emitted other candidates")
       widest
     }.max
 
@@ -243,6 +298,19 @@ class MinerInternalsSpec extends AnyFunSuite {
     for (seed <- 1 to 2) {
       val g = GraphGen.erdosRenyi(150, 0.1, seed)
       assert(assertCheckedRunMatches(g, 0.75, 5, s"ER(150, 0.1, $seed)") > 128)
+    }
+  }
+
+  // Rules A and B must keep cutting the search. With both, Hyves-like
+  // derives 28,132 children against the paper preset's 97,617 (0.29×) and
+  // Enron-like 9,533 against 41,034 (0.23×). With rule A off Hyves-like
+  // derives 0.39× and Enron-like 0.45×; with rule B off Hyves-like 0.75×.
+  // So the bound of a third fails when either rule is switched off.
+  test("rules A and B cut derived children to a third") {
+    for (d <- Seq(GraphGen.hyvesLike(), GraphGen.enronLike())) {
+      val (_, _, paper) = perTaskMine(d.graph, d.gamma, d.tauSize, MinerConfig.quickPlusPaper, checked = false)
+      val (_, _, rules) = perTaskMine(d.graph, d.gamma, d.tauSize, MinerConfig.quickPlus, checked = false)
+      assert(paper > 0 && rules * 3 <= paper, s"${d.name}: $rules children with rules A and B, $paper without")
     }
   }
 

@@ -61,6 +61,57 @@ class QuasiCliqueSpec extends AnyFunSuite {
     assert(!GraphOps.connectedInduced(g, all))
   }
 
+  // Rules A and B of the miner (DESIGN.md) rest on these two bounds, checked
+  // on every vertex subset that is a γ-quasi-clique.
+  test("every quasi-clique meets rule A's and rule B's bounds") {
+    val gammas = Seq(0.5, 0.6, 0.67, 0.75, 0.8, 0.9, 1.0)
+    val checkedPairs = Array.fill(gammas.length)(0)
+    var tight = 0
+    for (p <- Seq(0.5, 0.7, 0.85); seed <- 1 to 4) {
+      val g = GraphGen.erdosRenyi(12, p, seed)
+      val nbrs = Array.tabulate(g.n)(v => g.adj(v).foldLeft(0)((bits, u) => bits | 1 << u))
+      for ((gamma, gi) <- gammas.zipWithIndex; q <- 1 until 1 << g.n) {
+        val vs = (0 until g.n).filter(v => (q >>> v & 1) == 1).toArray
+        val m = vs.length
+        if (QuasiClique.isQuasiClique(g, vs, gamma)) {
+          // rule B: each member has at most B(M) = M − 1 − ⌈γ(M − 1)⌉
+          // non-neighbours in Q for every M >= m (B does not decrease)
+          for (v <- vs; bigM <- m to g.n) {
+            val nonNbrs = m - 1 - Integer.bitCount(nbrs(v) & q)
+            assert(nonNbrs <= bigM - 1 - QuasiClique.ceilGamma(gamma, bigM - 1), s"gamma=$gamma Q=${vs.toSeq} v=$v M=$bigM")
+          }
+          // rule A: f(m) common neighbours in Q if non-adjacent, f(m) − 2 if adjacent
+          val f = QuasiClique.pairBound(gamma, m)
+          for (i <- vs.indices; j <- i + 1 until m) {
+            val (u, w) = (vs(i), vs(j))
+            val common = Integer.bitCount(nbrs(u) & nbrs(w) & q)
+            val need = if (g.hasEdge(u, w)) f - 2 else f
+            assert(common >= need, s"gamma=$gamma Q=${vs.toSeq} u=$u w=$w")
+            if (common == need) tight += 1
+            checkedPairs(gi) += 1
+          }
+        }
+      }
+    }
+    assert(checkedPairs.forall(_ > 0), s"pairs checked per gamma: ${checkedPairs.toSeq}")
+    assert(tight > 0, "no pair met rule A's bound with equality")
+  }
+
+  test("minPairBound is the least exact f(m), f not monotone") {
+    def exactF(gammaStr: String, m: Int): Int =
+      2 * (BigDecimal(gammaStr) * BigDecimal(m - 1)).setScale(0, BigDecimal.RoundingMode.CEILING).toInt - m + 2
+    for (gammaStr <- Seq("0.5", "0.6", "0.67", "0.75", "0.8", "0.85", "0.9", "0.95", "1.0");
+         tau <- Seq(0, 1, 2, 3, 5, 10, 22, 30); n <- Seq(1, 2, 5, 11, 23, 40, 94)) {
+      val lo = math.max(tau, 2)
+      val expect = if (lo > n) 1 else (lo to n).map(exactF(gammaStr, _)).min
+      assert(QuasiClique.minPairBound(gammaStr.toDouble, tau, n) == expect, s"gamma=$gammaStr tau=$tau n=$n")
+    }
+    // ⌈0.9·m⌉ skips from m = 9 to 10 (both 9): f(10) = 10 but f(11) = 9, so
+    // the least bound of a task with 10..11-vertex results is not f(τ)
+    assert(QuasiClique.pairBound(0.9, 10) == 10 && QuasiClique.pairBound(0.9, 11) == 9)
+    assert(QuasiClique.minPairBound(0.9, 10, 11) == 9)
+  }
+
   test("single vertex is a quasi-clique; empty set is not") {
     val g = LocalGraph.empty(3)
     assert(QuasiClique.isQuasiClique(g, Array(1), 0.9))
