@@ -133,19 +133,17 @@ object GraphGen {
     out.result()
   }
 
-  /** Pick `count` disjoint blocks of `size` vertices from [lo, hi). */
-  private def pickBlocks(count: Int, size: Int, lo: Int, hi: Int, rnd: Random): Array[Array[Int]] = {
+  /** `count` disjoint blocks of `size` vertices drawn from `0 until n` by
+    * `new Random(blockSeed)`; block i gets a `denseBlock` of density p with
+    * seed `edgeSeed + i`.
+    */
+  private def planted(n: Int, count: Int, size: Int, p: Double, blockSeed: Long, edgeSeed: Long): Array[Long] = {
+    val rnd  = new Random(blockSeed)
     val used = new mutable.HashSet[Int]
-    Array.fill(count) {
-      val b = new Array[Int](size)
-      var i = 0
-      while (i < size) {
-        var v = lo + rnd.nextInt(hi - lo)
-        while (used.contains(v)) v = lo + rnd.nextInt(hi - lo)
-        used += v; b(i) = v; i += 1
-      }
-      b
-    }
+    Array.tabulate(count) { i =>
+      val block = Array.fill(size) { var v = rnd.nextInt(n); while (!used.add(v)) v = rnd.nextInt(n); v }
+      denseBlock(block, p, edgeSeed + i)
+    }.flatten
   }
 
   private def build(n: Int, parts: Array[Long]*): LocalGraph =
@@ -155,20 +153,16 @@ object GraphGen {
 
   /** CX_GSE1730 analogue: small dense biological network. */
   def gse1730Like(seed: Long = 101): Dataset = {
-    val n   = 1000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(3, 33, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.96, seed + 10 + i) }
-    Dataset("GSE1730-like", build(n, chungLu(n, 8.0, 0.6, seed), planted), gamma = 0.9, tauSize = 30)
+    val n = 1000
+    Dataset("GSE1730-like", build(n, chungLu(n, 8.0, 0.6, seed), planted(n, 3, 33, 0.96, seed, seed + 10)),
+      gamma = 0.9, tauSize = 30)
   }
 
   /** CX_GSE10158 analogue. */
   def gse10158Like(seed: Long = 102): Dataset = {
-    val n   = 1600
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(3, 32, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.88, seed + 10 + i) }
-    Dataset("GSE10158-like", build(n, chungLu(n, 7.0, 0.6, seed), planted), gamma = 0.8, tauSize = 29)
+    val n = 1600
+    Dataset("GSE10158-like", build(n, chungLu(n, 7.0, 0.6, seed), planted(n, 3, 32, 0.88, seed, seed + 10)),
+      gamma = 0.8, tauSize = 29)
   }
 
   /** Ca-GrQc analogue: overlapping author cliques -> many small results.
@@ -190,87 +184,73 @@ object GraphGen {
     * change the result count steeply (Tables 5–6).
     */
   def enronLike(seed: Long = 104): Dataset = {
-    val n   = 20000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(2, 26, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.94, seed + 10 + i) }
-    val medium  = pickBlocks(2, 27, 0, n, new Random(seed + 77))
-      .zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.89, seed + 70 + i) }
-    val hard    = pickBlocks(1, 60, 0, n, new Random(seed + 99))
-      .flatMap(b => denseBlock(b, 0.62, seed + 50))
-    Dataset("Enron-like", build(n, chungLu(n, 9.0, 0.55, seed), planted, medium, hard), gamma = 0.9, tauSize = 23)
+    val n = 20000
+    Dataset("Enron-like",
+      build(n, chungLu(n, 9.0, 0.55, seed),
+        planted(n, 2, 26, 0.94, seed, seed + 10),
+        planted(n, 2, 27, 0.89, seed + 77, seed + 70), // medium
+        planted(n, 1, 60, 0.62, seed + 99, seed + 50)), // hard
+      gamma = 0.9, tauSize = 23)
   }
 
   /** Amazon analogue: sparse co-purchase graph, low gamma. */
   def amazonLike(seed: Long = 105): Dataset = {
-    val n   = 50000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(2, 13, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.78, seed + 10 + i) }
-    Dataset("Amazon-like", build(n, chungLu(n, 5.5, 0.45, seed), planted), gamma = 0.5, tauSize = 12)
+    val n = 50000
+    Dataset("Amazon-like", build(n, chungLu(n, 5.5, 0.45, seed), planted(n, 2, 13, 0.78, seed, seed + 10)),
+      gamma = 0.5, tauSize = 12)
   }
 
   /** Hyves analogue: larger social graph, several planted communities. */
   def hyvesLike(seed: Long = 106): Dataset = {
-    val n   = 80000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(5, 24, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.94, seed + 10 + i) }
-    val medium  = pickBlocks(2, 26, 0, n, new Random(seed + 77))
-      .zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.88, seed + 70 + i) }
-    // unlocks only near the bottom of the paper's γ sweep (0.86): result
-    // count explodes there, as in Table 5's Hyves rows
-    val low     = pickBlocks(1, 30, 0, n, new Random(seed + 88))
-      .flatMap(b => denseBlock(b, 0.865, seed + 80))
-    val hard    = pickBlocks(1, 70, 0, n, new Random(seed + 99))
-      .flatMap(b => denseBlock(b, 0.6, seed + 50))
-    Dataset("Hyves-like", build(n, chungLu(n, 4.0, 0.6, seed), planted, medium, low, hard), gamma = 0.9, tauSize = 22)
+    val n = 80000
+    Dataset("Hyves-like",
+      build(n, chungLu(n, 4.0, 0.6, seed),
+        planted(n, 5, 24, 0.94, seed, seed + 10),
+        planted(n, 2, 26, 0.88, seed + 77, seed + 70), // medium
+        // low: unlocks only near the bottom of the paper's γ sweep (0.86):
+        // result count explodes there, as in Table 5's Hyves rows
+        planted(n, 1, 30, 0.865, seed + 88, seed + 80),
+        planted(n, 1, 70, 0.6, seed + 99, seed + 50)), // hard
+      gamma = 0.9, tauSize = 22)
   }
 
   /** YouTube analogue: ONE very hard near-threshold region (the single
     * straggler task of Table 1) plus a few findable communities.
     */
-  def youtubeLike(seed: Long = 107, hardSize: Int = 100, hardP: Double = 0.62): Dataset = {
-    val n   = 100000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(3, 20, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.97, seed + 10 + i) }
-    val hard = pickBlocks(1, hardSize, 0, n, new Random(seed + 99))
-      .flatMap(b => denseBlock(b, hardP, seed + 50))
-    Dataset("YouTube-like", build(n, chungLu(n, 5.0, 0.62, seed), planted, hard), gamma = 0.9, tauSize = 18)
+  def youtubeLike(seed: Long = 107): Dataset = {
+    val n = 100000
+    Dataset("YouTube-like",
+      build(n, chungLu(n, 5.0, 0.62, seed),
+        planted(n, 3, 20, 0.97, seed, seed + 10),
+        planted(n, 1, 100, 0.62, seed + 99, seed + 50)), // hard
+      gamma = 0.9, tauSize = 18)
   }
 
   /** Patent analogue: SEVERAL hard regions (the many stragglers of
     * Table 2) plus findable communities.
     */
-  def patentLike(seed: Long = 108, nHard: Int = 4, hardSize: Int = 92, hardP: Double = 0.62): Dataset = {
-    val n   = 150000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(4, 22, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.97, seed + 10 + i) }
-    val medium  = pickBlocks(3, 25, 0, n, new Random(seed + 77))
-      .zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.90, seed + 70 + i) }
-    val hardB = pickBlocks(nHard, hardSize, 0, n, new Random(seed + 99))
-    val hard  = hardB.zipWithIndex.flatMap { case (b, i) => denseBlock(b, hardP, seed + 50 + i) }
-    Dataset("Patent-like", build(n, chungLu(n, 6.0, 0.55, seed), planted, medium, hard), gamma = 0.9, tauSize = 20)
+  def patentLike(seed: Long = 108): Dataset = {
+    val n = 150000
+    Dataset("Patent-like",
+      build(n, chungLu(n, 6.0, 0.55, seed),
+        planted(n, 4, 22, 0.97, seed, seed + 10),
+        planted(n, 3, 25, 0.90, seed + 77, seed + 70), // medium
+        planted(n, 4, 92, 0.62, seed + 99, seed + 50)), // hard
+      gamma = 0.9, tauSize = 20)
   }
 
   /** kmer analogue: avg degree ~1 (paths) + tiny dense bits. */
   def kmerLike(seed: Long = 109): Dataset = {
-    val n   = 300000
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(3, 11, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.85, seed + 10 + i) }
-    Dataset("kmer-like", build(n, paths(n, 6, seed), planted), gamma = 0.5, tauSize = 10)
+    val n = 300000
+    Dataset("kmer-like", build(n, paths(n, 6, seed), planted(n, 3, 11, 0.85, seed, seed + 10)),
+      gamma = 0.5, tauSize = 10)
   }
 
   /** USA-Road analogue: grid (its 3-core is empty) + tiny planted bits. */
   def roadLike(seed: Long = 110): Dataset = {
     val rows = 500; val cols = 400; val n = rows * cols
-    val rnd = new Random(seed)
-    val blocks  = pickBlocks(2, 8, 0, n, rnd)
-    val planted = blocks.zipWithIndex.flatMap { case (b, i) => denseBlock(b, 0.85, seed + 10 + i) }
-    Dataset("USARoad-like", build(n, grid(rows, cols), planted), gamma = 0.5, tauSize = 7)
+    Dataset("USARoad-like", build(n, grid(rows, cols), planted(n, 2, 8, 0.85, seed, seed + 10)),
+      gamma = 0.5, tauSize = 7)
   }
 
   /** All ten datasets in Table 3 order. */
@@ -278,18 +258,9 @@ object GraphGen {
     gse1730Like(), gse10158Like(), caGrQcLike(), enronLike(), amazonLike(),
     hyvesLike(), youtubeLike(), patentLike(), kmerLike(), roadLike())
 
-  /** Small Erdős–Rényi graph for tests. */
-  def erdosRenyi(n: Int, p: Double, seed: Long): LocalGraph = {
-    val rnd = new Random(seed)
-    val out = Array.newBuilder[Long]
-    var i = 0
-    while (i < n) {
-      var j = i + 1
-      while (j < n) { if (rnd.nextDouble() < p) out += LocalGraph.pack(i, j); j += 1 }
-      i += 1
-    }
-    LocalGraph.fromEdges(n, out.result())
-  }
+  /** Small Erdős–Rényi graph for tests: one `denseBlock` over all n vertices. */
+  def erdosRenyi(n: Int, p: Double, seed: Long): LocalGraph =
+    build(n, denseBlock(Array.range(0, n), p, seed))
 
   /** The Figure-1 example graph of the paper (vertices a..i -> 0..8). */
   def figure1: LocalGraph = {

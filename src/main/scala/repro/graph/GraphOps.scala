@@ -3,7 +3,7 @@ package repro.graph
 import scala.collection.mutable
 
 /** Graph algorithms used by the miners and the task engine:
-  * k-core peeling (pruning rule P2), core decomposition (task features),
+  * k-core peeling (pruning rule P2, and degeneracy for task features),
   * induced subgraphs, 2-hop neighborhoods (diameter pruning P1), and the
   * vertex-ID recoding that enables the degenerate cover-vertex rule (P7).
   */
@@ -103,51 +103,17 @@ object GraphOps {
   }
   private val marks = ThreadLocal.withInitial[Marks](() => new Marks)
 
-  /** Core number of every vertex (peeling with bucket queues); the maximum
-    * is the graph's degeneracy — the "Core #" feature of Tables 1–2.
+  /** Graph degeneracy, the "Core #" feature of Tables 1–2: the largest k
+    * whose k-core is non-empty (0 for the empty graph). k-cores are nested,
+    * so k is binary-searched over [0, maxDegree] in O(log maxDegree) peels.
     */
-  def coreNumbers(g: LocalGraph): Array[Int] = {
-    val n = g.n
-    if (n == 0) return Array.emptyIntArray
-    val deg  = degrees(g)
-    val maxD = g.maxDegree
-    // bin sort by degree
-    val bin = new Array[Int](maxD + 2)
-    var v = 0
-    while (v < n) { bin(deg(v)) += 1; v += 1 }
-    var start = 0; var d = 0
-    while (d <= maxD) { val c = bin(d); bin(d) = start; start += c; d += 1 }
-    val pos  = new Array[Int](n)
-    val vert = new Array[Int](n)
-    v = 0
-    while (v < n) { pos(v) = bin(deg(v)); vert(pos(v)) = v; bin(deg(v)) += 1; v += 1 }
-    d = maxD
-    while (d >= 1) { bin(d) = bin(d - 1); d -= 1 }
-    bin(0) = 0
-    val core = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      val u = vert(i)
-      core(u) = deg(u)
-      val a = g.adj(u); var j = 0
-      while (j < a.length) {
-        val w = a(j)
-        if (deg(w) > deg(u)) {
-          val dw = deg(w); val pw = pos(w); val ps = bin(dw); val s = vert(ps)
-          if (s != w) { vert(ps) = w; vert(pw) = s; pos(w) = ps; pos(s) = pw }
-          bin(dw) += 1; deg(w) -= 1
-        }
-        j += 1
-      }
-      i += 1
-    }
-    core
-  }
-
-  /** Graph degeneracy = max core number (0 for empty). */
   def degeneracy(g: LocalGraph): Int = {
-    val c = coreNumbers(g)
-    if (c.isEmpty) 0 else c.max
+    var lo = 0; var hi = g.maxDegree
+    while (lo < hi) {
+      val mid = (lo + hi + 1) >>> 1
+      if (kCoreMask(g, mid).contains(true)) lo = mid else hi = mid - 1
+    }
+    lo
   }
 
   /** Vertices within 2 hops of v whose id is > `above`, ascending. With

@@ -145,7 +145,7 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       var spawned, spilled = 0L
       val t1 = System.nanoTime
       val sink = (arr: Array[Int]) => {
-        out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
+        out += EmitResult(arr.map(oldIds)); ()
       }
       val spawnChild = (s: Array[Int], e: Array[Int]) => {
         spawned += 1

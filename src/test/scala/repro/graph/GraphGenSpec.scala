@@ -24,6 +24,31 @@ class GraphGenSpec extends AnyFunSuite {
     }
   }
 
+  /** n, |E| and `java.util.Arrays.hashCode(packedEdges)` of every dataset:
+    * the input of every table and every benchmark workload, so a generator
+    * edit that changes a single edge fails here.
+    */
+  private val fingerprints = Map(
+    "GSE1730-like"   -> (1000, 5509L, 1232045237),
+    "GSE10158-like"  -> (1600, 6917L, 2040967471),
+    "CaGrQc-like"    -> (5000, 20368L, 1753503358),
+    "Enron-like"     -> (20000, 92345L, 471883733),
+    "Amazon-like"    -> (50000, 137626L, 295051201),
+    "Hyves-like"     -> (80000, 163696L, 2045420050),
+    "YouTube-like"   -> (100000, 253683L, 1957292521),
+    "Patent-like"    -> (150000, 461982L, -1645699626),
+    "kmer-like"      -> (300000, 214462L, -191395959),
+    "USARoad-like"   -> (200000, 399148L, -179791077)
+  )
+
+  test("every dataset matches its fingerprint: n, |E| and edge-list hash") {
+    val actual = GraphGen.all().map { d =>
+      val g = d.graph
+      d.name -> (g.n, g.numEdges, java.util.Arrays.hashCode(g.packedEdges))
+    }.toMap
+    assert(actual == fingerprints)
+  }
+
   test("k-core pruning shrinks every dataset dramatically (Table 3b effect)") {
     for (d <- GraphGen.all()) {
       val (core, _) = GraphOps.kCoreSubgraph(d.graph, d.k)
