@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import repro.graph.LocalGraph
 
@@ -11,13 +12,17 @@ import repro.graph.LocalGraph
   */
 object EmbedExpand {
 
-  private def adjRDD(sc: SparkContext, g: LocalGraph, p: Int): RDD[(Int, Array[Int])] =
-    sc.parallelize(0 until g.n, p).map(v => (v, g.adj(v)))
+  /** (v, adj(v)) for every vertex, read from a broadcast graph so that no
+    * task binary carries the graph.
+    */
+  private def adjRDD(sc: SparkContext, bc: Broadcast[LocalGraph], p: Int): RDD[(Int, Array[Int])] =
+    sc.parallelize(0 until bc.value.n, p).map(v => (v, bc.value.adj(v)))
 
   /** TC via wedge generation + closing-edge join (two shuffles). */
   def triangleCount(sc: SparkContext, g: LocalGraph, p: Int): AppResult = {
     val t0 = System.nanoTime
-    val adj = adjRDD(sc, g, p)
+    val bc = sc.broadcast(g)
+    val adj = adjRDD(sc, bc, p)
     // wedges centered at u: pairs (a, b) of higher neighbors, keyed by (a,b)
     val wedges: RDD[((Int, Int), Int)] = adj.flatMap { case (u, ns) =>
       val hi = ns.filter(_ > u)
@@ -28,6 +33,7 @@ object EmbedExpand {
       ns.iterator.filter(_ > u).map(v => ((u, v), ()))
     }
     val count = wedges.join(edges.partitionBy(new org.apache.spark.HashPartitioner(p))).count()
+    bc.destroy()
     AppResult(count, (System.nanoTime - t0) / 1e6)
   }
 

@@ -36,9 +36,10 @@ object Miner {
     * and d_ext of every vertex of S ∪ ext, and `hist`, where hist(d) is the
     * number of ext vertices with d_S = d for 0 <= d <= sLen (bins above
     * sLen are stale and never read). A child's state is derived
-    * from its parent's frame, and `iterativeBounding` keeps it exact as it
-    * moves and prunes vertices. d_ext of the ext vertices is filled only
-    * once a bound check passes (`extDegrees`). `rest` is S ∪
+    * from its parent's frame, and `iterativeBounding` keeps d_S, the
+    * histogram and d_ext of S exact as it moves and prunes vertices. d_ext
+    * of the ext vertices is exact only while `extDegrees` is set: it is
+    * counted right before a rule or a move reads it. `rest` is S ∪
     * ext(examined until extLen) while the node branches: the set its next
     * lookahead tests. Every node at one depth reuses one frame.
     */
@@ -161,8 +162,7 @@ final class Miner(
   private val cover = new Array[Long](words)
   private val low   = new Array[Long](words)
   private val sat   = new Array[Long](words)
-  // scratch for Type-I removals and ordering ext
-  private val removed = new Array[Int](n)
+  // scratch for ordering ext
   private val keys    = new Array[Long](n)
   private val extCopy = new Array[Int](n)
   private val frames  = ArrayBuffer.empty[Miner.Frame]
@@ -273,19 +273,29 @@ final class Miner(
     if (checkState) assertExact(c)
   }
 
-  /** d_ext of f's ext vertices, which a derived state leaves unfilled. */
-  private def fillExtDegrees(f: Miner.Frame): Unit = {
+  /** d_ext of vs(0 until len) by popcount: S after Type-I removals, ext
+    * right before a rule or a move reads it.
+    */
+  private def countDExt(f: Miner.Frame, vs: Array[Int], len: Int): Unit = {
     var i = 0
-    while (i < f.extLen) { val x = f.ext(i); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
-    f.extDegrees = true
-    if (checkState) assertExact(f)
+    while (i < len) { val x = vs(i); f.dExt(x) = degreeInto(x, f.eBits); i += 1 }
+  }
+
+  private def fillExtDegrees(f: Miner.Frame): Unit = { countDExt(f, f.ext, f.extLen); f.extDegrees = true }
+
+  /** A Type-I removal: u leaves eBits and its histogram bin; the caller
+    * compacts f.ext and recounts d_ext.
+    */
+  @inline private def dropFromExt(f: Miner.Frame, u: Int): Unit = {
+    f.eBits(u >>> 6) &= ~(1L << u); f.hist(f.dS(u)) -= 1
   }
 
   /** The critical vertices s(from until to), already cleared from eBits,
     * join S: ext drops them, order kept, and each moved vertex's neighbours
     * in S ∪ ext gain one d_S and lose one d_ext. A moved vertex leaves its
     * histogram bin and a neighbour still in ext moves up one bin; the bins
-    * (from, to], new with the larger S, start empty.
+    * (from, to], new with the larger S, start empty. Needs d_ext of ext
+    * filled, since the moved vertices keep theirs.
     */
   private def moveToS(f: Miner.Frame, from: Int, to: Int): Unit = {
     val dS = f.dS; val dExt = f.dExt; val hist = f.hist
@@ -309,23 +319,6 @@ final class Miner(
           hist(d) -= 1; hist(d + 1) += 1; dS(y) = d + 1; dExt(y) -= 1
           w &= w - 1
         }
-        k += 1
-      }
-      i += 1
-    }
-    if (checkState) assertExact(f)
-  }
-
-  /** The Type-I removals removed(0 until count), already gone from ext and
-    * eBits: each one's neighbours in S ∪ ext lose one d_ext.
-    */
-  private def dropRemoved(f: Miner.Frame, count: Int): Unit = {
-    var i = 0
-    while (i < count) {
-      val base = removed(i) * words; var k = 0
-      while (k < words) {
-        var w = rows(base + k) & (f.sBits(k) | f.eBits(k))
-        while (w != 0) { f.dExt((k << 6) | numberOfTrailingZeros(w)) -= 1; w &= w - 1 }
         k += 1
       }
       i += 1
@@ -419,6 +412,11 @@ final class Miner(
     * G(S) happens internally. S must be non-empty and f's state exact
     * (derived or computed). A false return is a fixpoint with |S| + |ext|
     * >= τ_size, where f's bitsets and all its degrees are exact.
+    *
+    * d_ext of ext is counted only where it is read: before the first
+    * critical vertex leaves eBits, and before Theorems 3 and 7. So the
+    * Type-I pass runs the rules that read d_S alone first, and a child they
+    * shrink below τ_size dies without counting it.
     */
   private def iterativeBounding(f: Miner.Frame): Boolean = {
     val s = f.s; val dS = f.dS; val dExt = f.dExt
@@ -433,7 +431,6 @@ final class Miner(
         case Bounds.PruneAll => return true
         case Bounds.Ok(us, ls) =>
           if (us < ls) return true
-          if (!f.extDegrees) fillExtDegrees(f)
           // ---- critical-vertex pruning (P6); after a move, bound again ----
           val t0 = if (timers ne null) System.nanoTime else 0L
           val sLen = f.sLen
@@ -446,6 +443,9 @@ final class Miner(
           while (i < sLen && (plus || end == sLen)) {
             val v = s(i)
             if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
+              // the moved vertices keep their d_ext: count it while eBits
+              // is still ext
+              if (!f.extDegrees) fillExtDegrees(f)
               val base = v * words; var k = 0
               while (k < words) {
                 var w = rows(base + k) & f.eBits(k)
@@ -488,27 +488,51 @@ final class Miner(
               if (plus) checkOutput(s, sLen)
               return true
             }
-            // ---- Type-I pruning (Theorems 3, 5, 7), ext compacted in place ----
-            var kept = 0; var nRemoved = 0
+            // ---- Type-I pruning, ext compacted in place: first the rules
+            // that read d_S alone (Theorem 5, rule B) ----
+            val extLen0 = f.extLen
+            var kept = 0
             i = 0
-            while (i < f.extLen) {
-              val u = f.ext(i); val ds = dS(u); val de = dExt(u)
-              val pruned =
-                ds + de < ceilG(sLen + de) ||  // Thm 3
-                ds + us - 1 < needU ||         // Thm 5
-                ds + de < needL ||             // Thm 7
-                saturated && !has(sat, u)      // rule B
-              if (pruned) { f.eBits(u >>> 6) &= ~(1L << u); f.hist(ds) -= 1; removed(nRemoved) = u; nRemoved += 1 }
+            while (i < extLen0) {
+              val u = f.ext(i)
+              if (dS(u) + us - 1 < needU ||      // Thm 5
+                  saturated && !has(sat, u))     // rule B
+                dropFromExt(f, u)
               else { f.ext(kept) = u; kept += 1 }
               i += 1
             }
             f.extLen = kept
-            if (nRemoved == 0) looping = false // fixpoint (case C2)
-            else dropRemoved(f, nRemoved)
+            // the next pass's size check, before d_ext is counted
+            if (sLen + kept < tauSize) return true
+            // ---- then Theorems 3 and 7, which read d_ext of ext ----
+            if (!f.extDegrees || kept < extLen0) fillExtDegrees(f)
+            val extLen1 = kept
+            kept = 0
+            i = 0
+            while (i < extLen1) {
+              val u = f.ext(i); val ds = dS(u); val de = dExt(u)
+              if (ds + de < ceilG(sLen + de) ||  // Thm 3
+                  ds + de < needL)               // Thm 7
+                dropFromExt(f, u)
+              else { f.ext(kept) = u; kept += 1 }
+              i += 1
+            }
+            f.extLen = kept
+            if (kept < extLen0) {
+              // one popcount per member of S instead of one update per
+              // removal; d_ext of ext is stale if the second rules removed
+              countDExt(f, s, sLen)
+              f.extDegrees = kept == extLen1
+            } else looping = false // fixpoint (case C2)
+            if (checkState) assertExact(f)
           }
       }
     }
-    if (f.extLen == 0) { checkOutput(s, f.sLen); true } else false
+    if (f.extLen == 0) { checkOutput(s, f.sLen); true }
+    else {
+      if (checkState && !f.extDegrees) throw new IllegalStateException("unpruned child without d_ext of ext")
+      false
+    }
   }
 
   /** Copies S and ext into the scratch frame at `depth`. */

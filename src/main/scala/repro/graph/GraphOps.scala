@@ -11,16 +11,32 @@ object GraphOps {
 
   /** Vertices surviving k-core peeling (Batagelj–Zaversnik style O(|E|)
     * repeated deletion of vertices with degree < k). Returns a mask.
+    *
+    * A vertex of degree below k never survives, so only the others read
+    * their arcs: each counts its degree among them, then the peel runs on
+    * those counts. On sparse inputs most vertices are below k and cost one
+    * degree lookup each.
     */
   def kCoreMask(g: LocalGraph, k: Int): Array[Boolean] = {
-    val alive = new Array[Boolean](g.n)
-    java.util.Arrays.fill(alive, true)
-    val deg = degrees(g)
-    // a vertex is queued once, when it dies, so n slots suffice
-    val queue = new Array[Int](g.n)
-    var tail = 0
+    val n = g.n
+    val alive = new Array[Boolean](n)
     var v = 0
-    while (v < g.n) { if (deg(v) < k) { alive(v) = false; queue(tail) = v; tail += 1 }; v += 1 }
+    while (v < n) { alive(v) = g.degree(v) >= k; v += 1 }
+    val deg = new Array[Int](n)
+    v = 0
+    while (v < n) {
+      if (alive(v)) {
+        val a = g.adj(v); var d = 0; var i = 0
+        while (i < a.length) { if (alive(a(i))) d += 1; i += 1 }
+        deg(v) = d
+      }
+      v += 1
+    }
+    // a vertex is queued once, when it dies, so n slots suffice
+    val queue = new Array[Int](n)
+    var tail = 0
+    v = 0
+    while (v < n) { if (alive(v) && deg(v) < k) { alive(v) = false; queue(tail) = v; tail += 1 }; v += 1 }
     var head = 0
     while (head < tail) {
       val u = queue(head); head += 1
@@ -32,14 +48,6 @@ object GraphOps {
       }
     }
     alive
-  }
-
-  /** Every vertex's degree, in a primitive loop (`Array.tabulate` boxes). */
-  private def degrees(g: LocalGraph): Array[Int] = {
-    val deg = new Array[Int](g.n)
-    var v = 0
-    while (v < g.n) { deg(v) = g.degree(v); v += 1 }
-    deg
   }
 
   /** The indices set in `mask`, ascending. */

@@ -316,6 +316,8 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // ---------------------------------------------------- iterativeBounding
 
+  // Both Quick+ presets: the default adds rule B to the Type-I pass's first
+  // rules (those that read d_S alone).
   for (seed <- 1 to 8) test(s"iterativeBounding never prunes away a reachable valid quasi-clique (seed=$seed)") {
     val rnd = new Random(seed)
     val g = GraphGen.erdosRenyi(12, 0.65, seed * 23)
@@ -326,22 +328,24 @@ class MinerInternalsSpec extends AnyFunSuite {
     // truth: all valid QCs Q with s0 ⊆ Q ⊆ s0 ∪ ext0, |Q| >= tau
     val truthAll = BruteForce.allValid(g, gamma, tau).map(_.toVector)
       .filter(q => s0.forall(q.contains) && q.forall(v => s0.contains(v) || ext0.contains(v)))
-    val out = ArrayBuffer.empty[Array[Int]]
-    val miner = newMiner(g, gamma, tau, out)
-    val sB = ArrayBuffer.from(s0); val eB = ArrayBuffer.from(ext0)
-    val pruned = miner.iterativeBounding(sB, eB)
-    if (!pruned) {
-      // everything reachable must still be reachable: S grew only by forced
-      // (critical) vertices and ext lost only provably useless vertices
-      val sSet = sB.toSet; val eSet = eB.toSet
-      truthAll.foreach { q =>
-        // any maximal-size valid target either contains the forced vertices
-        // or was output already during bounding
-        val stillReachable = sSet.subsetOf(q.toSet) && q.forall(v => sSet.contains(v) || eSet.contains(v))
-        val alreadyOut = out.exists(_.toVector == q)
-        val dominated = truthAll.exists(t => t.size > q.size && q.toSet.subsetOf(t.toSet))
-        assert(stillReachable || alreadyOut || dominated,
-          s"valid QC $q lost by bounding: S=${sB.toSeq} ext=${eB.toSeq}")
+    for (config <- Seq(MinerConfig.quickPlus, MinerConfig.quickPlusPaper)) {
+      val out = ArrayBuffer.empty[Array[Int]]
+      val miner = newMiner(g, gamma, tau, out, config)
+      val sB = ArrayBuffer.from(s0); val eB = ArrayBuffer.from(ext0)
+      val pruned = miner.iterativeBounding(sB, eB)
+      if (!pruned) {
+        // everything reachable must still be reachable: S grew only by forced
+        // (critical) vertices and ext lost only provably useless vertices
+        val sSet = sB.toSet; val eSet = eB.toSet
+        truthAll.foreach { q =>
+          // any maximal-size valid target either contains the forced vertices
+          // or was output already during bounding
+          val stillReachable = sSet.subsetOf(q.toSet) && q.forall(v => sSet.contains(v) || eSet.contains(v))
+          val alreadyOut = out.exists(_.toVector == q)
+          val dominated = truthAll.exists(t => t.size > q.size && q.toSet.subsetOf(t.toSet))
+          assert(stillReachable || alreadyOut || dominated,
+            s"$config: valid QC $q lost by bounding: S=${sB.toSeq} ext=${eB.toSeq}")
+        }
       }
     }
   }

@@ -23,6 +23,38 @@ class GraphOpsSpec extends AnyFunSuite {
     assert((0 until g.n).filter(mask).toSet == naiveKCore(g, k))
   }
 
+  // Sparse power-law graphs, as the analogues' backgrounds: most vertices
+  // start below k and never read their arcs, and the peel still removes
+  // some that start at or above k.
+  for (seed <- 1 to 3) test(s"kCoreMask matches naive peeling on sparse Chung-Lu graphs (seed=$seed)") {
+    val n = 2000
+    val g = LocalGraph.fromEdges(n, GraphGen.chungLu(n, 6.0, 0.6, seed))
+    var peeled, survived = 0
+    for (k <- 6 to 10) {
+      assert((0 until n).count(g.degree(_) < k) * 2 > n, s"k=$k: most vertices must start below k")
+      val core = naiveKCore(g, k)
+      assert((0 until n).filter(GraphOps.kCoreMask(g, k)).toSet == core, s"k=$k")
+      peeled += (0 until n).count(v => g.degree(v) >= k && !core(v))
+      survived += core.size
+    }
+    assert(peeled > 0 && survived > 0, s"peeled $peeled and kept $survived vertices at or above k")
+  }
+
+  test("kCoreMask matches naive peeling on a dense Erdős–Rényi graph") {
+    val g = GraphGen.erdosRenyi(200, 0.3, 4)
+    for (k <- Seq(40, 50, 55, 60, 65, 70))
+      assert((0 until g.n).filter(GraphOps.kCoreMask(g, k)).toSet == naiveKCore(g, k), s"k=$k")
+  }
+
+  test("kCoreMask: k = 0 keeps every vertex, k above the max degree none, the empty graph is empty") {
+    val g = LocalGraph.fromPairs(7, Seq(0 -> 1, 1 -> 2, 2 -> 0, 3 -> 4)) // 5 and 6 isolated
+    assert(GraphOps.kCoreMask(g, 0).forall(identity))
+    assert(!GraphOps.kCoreMask(g, g.maxDegree + 1).contains(true))
+    assert((0 until g.n).filter(GraphOps.kCoreMask(g, 2)) == Seq(0, 1, 2))
+    val empty = new LocalGraph(Array.empty[Array[Int]])
+    assert(GraphOps.kCoreMask(empty, 0).isEmpty && GraphOps.kCoreMask(empty, 3).isEmpty)
+  }
+
   test("kCoreSubgraph induces exactly the surviving vertices") {
     val g = GraphGen.erdosRenyi(40, 0.15, 9)
     val (core, ids) = GraphOps.kCoreSubgraph(g, 3)
