@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{MineOutcome, MinerConfig, Quick, QuickPlus}
+import repro.core.{MineOutcome, MinerConfig, QuickPlus}
 
 /** Table 15: single-threaded Quick+ vs the original Quick on all datasets
   * (wall-capped at 120 s, mirroring the paper's "> 24 hr" rows). Shape:
@@ -33,7 +33,7 @@ class Table15_QuickBench extends BenchSpec {
       QuickPlus.mineSerial(warm.graph, warm.gamma, warm.tauSize, config, capMillis = cap)
     for (d <- Datasets.all) {
       val (plus, plusMs)   = timed(QuickPlus.mineSerial(d.graph, d.gamma, d.tauSize, capMillis = cap))
-      val (quick, quickMs) = timed(Quick.mineSerial(d.graph, d.gamma, d.tauSize, capMillis = cap))
+      val (quick, quickMs) = timed(QuickPlus.mineSerial(d.graph, d.gamma, d.tauSize, MinerConfig.quick, capMillis = cap))
       val (paper, paperMs) = timed(QuickPlus.mineSerial(d.graph, d.gamma, d.tauSize, MinerConfig.quickPlusPaper, capMillis = cap))
       def cell(o: MineOutcome, ms: Double) = if (o.timedOut) "> 120" else sec(ms)
       def cnt(o: MineOutcome) = if (o.timedOut) "n/a" else o.numMaximal.toString

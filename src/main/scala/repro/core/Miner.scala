@@ -63,7 +63,11 @@ object MinerConfig {
   val quickPlus: MinerConfig      = MinerConfig(isQuickPlus = true, extraPrunes = true)
   /** Quick+ as published (P1–P7 only), for Tables 15 and 16. */
   val quickPlusPaper: MinerConfig = MinerConfig(isQuickPlus = true, extraPrunes = false)
-  /** The original Quick, as published (Table 15). */
+  /** The original Quick, as published (Table 15): one critical vertex per
+    * bounding round, no boundary-case prunes, no G(S) checks and (in
+    * `QuickPlus.mineSerial`) no cover-vertex recoding, so it can run slower
+    * and miss results.
+    */
   val quick: MinerConfig          = MinerConfig(isQuickPlus = false, extraPrunes = false)
 }
 

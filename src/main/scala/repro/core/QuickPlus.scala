@@ -51,6 +51,10 @@ object TaskSpawn {
     val (core, coreIds) = GraphOps.induced(sub, keep)
     Some((core, coreIds.map(oldIds)))
   }
+
+  /** `egoTask` of each vertex below `mg.spawnUpper` that has one, in order. */
+  def egoTasks(mg: MiningGraph): Iterator[(LocalGraph, Array[Int])] =
+    Iterator.range(0, mg.spawnUpper).flatMap(egoTask(mg.graph, _, mg.k))
 }
 
 /** One serial mining outcome: all emitted candidate sets (original vertex
@@ -62,13 +66,12 @@ final case class MineOutcome(
     maximal: Seq[Array[Int]],
     mineMillis: Double,
     postMillis: Double,
-    timedOut: Boolean = false) {
+    timedOut: Boolean) {
   def numResults: Int = candidates.size
   def numMaximal: Int = maximal.size
 }
 
-/** Serial drivers for Quick+ (and, via config, the original Quick).
-  *
+/** The serial driver of Quick+ and, with `MinerConfig.quick`, of Quick.
   * `mineSerial` is the single-threaded reference used by Table 15 and by
   * every correctness test: the shared `TaskSpawn.prelude` (k-core, then for
   * Quick+ the cover recoding, which lets us skip spawning from N(v_max)
@@ -80,7 +83,7 @@ object QuickPlus {
   /** Mines all maximal γ-quasi-cliques of `g` with at least `tauSize`
     * vertices. `timers`, when given, accumulates Table 16's phase times;
     * by default no phase is timed, so the search does not read the clock
-    * per step. `capMillis` bounds the wall time: the search reads the
+    * per step. `capMillis` (> 0) bounds the wall time: the search reads the
     * clock on every 64th branch, and a run that reaches the cap stops and
     * returns what it found with `timedOut` set.
     */
@@ -91,40 +94,26 @@ object QuickPlus {
       config: MinerConfig = MinerConfig.quickPlus,
       timers: PhaseTimers = null,
       capMillis: Long = Long.MaxValue): MineOutcome = {
+    require(capMillis > 0, s"capMillis must be positive, got $capMillis")
     val t0 = System.nanoTime
-    val deadline = if (capMillis == Long.MaxValue) Long.MaxValue else t0 + capMillis * 1000000L
-    val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tauSize, recode = config.isQuickPlus)
-
+    // saturate: neither the product nor the sum may wrap (nanoTime may be negative)
+    val capNanos = if (capMillis > Long.MaxValue / 1000000L) Long.MaxValue else capMillis * 1000000L
+    val deadline = if (t0 > Long.MaxValue - capNanos) Long.MaxValue else t0 + capNanos
+    val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = config.isQuickPlus)
     val out = ArrayBuffer.empty[Array[Int]]
     var timedOut = false
-    var v = 0
-    while (v < spawnUpper && !timedOut) {
-      TaskSpawn.egoTask(gm, v, k) match {
-        case Some((task, taskIds)) =>
-          val miner = new Miner(task, gamma, tauSize,
-            arr => out += QuasiClique.canon(arr.map(x => ids(taskIds(x)))),
-            config, timers, deadline)
-          try miner.recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
-          catch { case _: Miner.DeadlineExceeded => timedOut = true }
-        case None => ()
-      }
-      v += 1
+    val tasks = TaskSpawn.egoTasks(mg)
+    while (!timedOut && tasks.hasNext) {
+      val (task, taskIds) = tasks.next()
+      val miner = new Miner(task, gamma, tauSize,
+        arr => out += QuasiClique.canon(arr.map(x => mg.ids(taskIds(x)))),
+        config, timers, deadline)
+      try miner.recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
+      catch { case _: Miner.DeadlineExceeded => timedOut = true }
     }
     val t1 = System.nanoTime
     val maximal = Maximality.filterMaximal(out.toSeq)
     val t2 = System.nanoTime
     MineOutcome(out.toSeq, maximal, (t1 - t0) / 1e6, (t2 - t1) / 1e6, timedOut)
   }
-}
-
-/** The original Quick baseline: one critical vertex per bounding round, no
-  * boundary-case prunes, and the missing G(S) checks — so it can both run
-  * slower and miss results (Table 15). It also lacks the degenerate
-  * cover-vertex recoding.
-  */
-object Quick {
-  def mineSerial(g: LocalGraph, gamma: Double, tauSize: Int,
-                 timers: PhaseTimers = null,
-                 capMillis: Long = Long.MaxValue): MineOutcome =
-    QuickPlus.mineSerial(g, gamma, tauSize, MinerConfig.quick, timers, capMillis)
 }

@@ -42,22 +42,12 @@ final case class ATime(tauTimeMillis: Double) extends Mode {
   require(tauTimeMillis >= 0, s"tau_time must be a non-negative number of ms, got $tauTimeMillis")
 }
 
-/** Engine knobs. `prioritizeBigTasks=false` emulates the ORIGINAL G-thinker
-  * engine (per-thread local queues only: every subtask is mined by its
-  * spawning worker, so one round finishes the job; tasks are dealt into p
-  * static owner-hashed slices, with no big-task-first ordering and no
-  * stealing); `true` is the paper's redesign (small subtasks still stay in
-  * the local queue, but big ones go to a global queue + stealing ≈ sent back
-  * to the driver, sorted big first and dealt round-robin into 2p slices that
-  * idle workers pull for the next round; see `Engine.place`). A big subtask
-  * goes back only once the subtree it belongs to has run for as long as one
-  * more round costs (`Engine.spills`); that cost is measured, not set.
-  * `tauSplit` is the paper's τ_split: A_split's threshold and the size from
-  * which a task is big.
+/** Engine knobs: p workers, and the paper's τ_split, A_split's threshold
+  * and the size from which a task is big. Big subtasks are spilled as
+  * `Engine.spills` decides and placed first by `Engine.place`.
   */
 final case class EngineConfig(
     parallelism: Int,
-    prioritizeBigTasks: Boolean = true,
     tauSplit: Int = 100) {
   require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
   require(tauSplit >= 0, s"tauSplit must be non-negative, got $tauSplit")
@@ -118,13 +108,13 @@ private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
   * tasks and the subtasks they spawn (local-first, LIFO), emitting results,
   * spilled subtasks and the partition's totals. A placed
   * task and its local subtasks, its subtree, are mined back to back, because
-  * the next placed task is taken only once the LIFO is empty. In the
-  * redesigned engine a subtask spills when it is big and its subtree has run
-  * for `roundCostNs` since the placed task's materialization began
+  * the next placed task is taken only once the LIFO is empty. A subtask
+  * spills when it is big (|ext| ≥ `tauSplit`) and its subtree has run for
+  * `roundCostNs` since the placed task's materialization began
   * (`Engine.spills`); every other subtask goes on the LIFO.
   */
 private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize: Int,
-                              mode: Mode, conf: EngineConfig, roundCostNs: Long)
+                              mode: Mode, tauSplit: Int, roundCostNs: Long)
     extends ((TaskContext, Iterator[QCTask]) => Array[Emit]) with Serializable {
   def apply(ctx: TaskContext, it: Iterator[QCTask]): Array[Emit] = {
     val graph = bc.value
@@ -150,14 +140,14 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       val spawnChild = (s: Array[Int], e: Array[Int]) => {
         spawned += 1
         val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
-        if (conf.prioritizeBigTasks && Engine.spills(e.length, conf.tauSplit, System.nanoTime - subtree0, roundCostNs)) {
+        if (Engine.spills(e.length, tauSplit, System.nanoTime - subtree0, roundCostNs)) {
           spilled += 1; out += EmitTask(child)
         } else local += child
         ()
       }
       new Miner(sub, gamma, tauSize, sink).mine(
         ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until verts.length),
-        mode.spawnRule(t.ext.length, conf.tauSplit, t1), spawnChild)
+        mode.spawnRule(t.ext.length, tauSplit, t1), spawnChild)
       val dt = System.nanoTime - t1
       tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
     }
@@ -175,14 +165,13 @@ private final class Unbucket[T] extends (ArrayBuffer[T] => ArrayBuffer[T]) with 
   *
   * One Spark round = one job in which every partition mines its placed tasks
   * and, depth-first from a local stack, the subtasks they spawn, until both
-  * are empty. Only a big subtask (|ext| ≥ τ_split, redesigned engine only)
-  * of a subtree that has already run for O, the measured cost of one more
-  * round, is spilled back to the driver, which re-places the spilled tasks
-  * with `place` for the next round (see `spills` and `roundCost`). A subtree
-  * that finishes within O never pays for a round. The redesigned engine
-  * places a round's tasks in 2p slices that idle cores pull, so a worker
-  * that draws a straggler does not also keep a full p-th of the rest (see
-  * `place`).
+  * are empty. Only a big subtask (|ext| ≥ τ_split) of a subtree that has
+  * already run for O, the measured cost of one more round, is spilled back
+  * to the driver, which re-places the spilled tasks with `place` for the
+  * next round (see `spills` and `roundCost`). A subtree that finishes within
+  * O never pays for a round. Big tasks go first: the engine places a round's
+  * tasks in 2p slices that idle cores pull, so a worker that draws a
+  * straggler does not also keep a full p-th of the rest (see `place`).
   *
   * Rule: no lambda, `collect` or `fold` in an engine job. Every job hands
   * Spark only instances of named serializable classes (`SpawnBody`,
@@ -240,8 +229,8 @@ object Engine {
     math.max(0L, jobNanos - work)
   }
 
-  /** Whether the redesigned engine sends a freshly spawned subtask back to
-    * the driver: it is big (|ext| ≥ τ_split) and the subtree it belongs to,
+  /** Whether the engine sends a freshly spawned subtask back to the
+    * driver: it is big (|ext| ≥ τ_split) and the subtree it belongs to,
     * i.e. the placed task it descends from and that task's local subtasks,
     * has run for at least O (`roundCostNanos`). This is ski rental's
     * break-even rule, with mining on alone as renting and a round as buying:
@@ -282,8 +271,8 @@ object Engine {
     var tasks  = absorb(emitted0)
     while (tasks.nonEmpty) {
       rounds += 1
-      val placed = place(sc, tasks, conf.parallelism, conf.prioritizeBigTasks, conf.tauSplit)(_.ext.length, _.root)
-      tasks = absorb(emits(placed, new RoundBody(bc, gamma, tauSize, mode, conf, roundCostNs)))
+      val placed = place(sc, tasks, conf.parallelism, prioritizeBig = true, bigFrom = conf.tauSplit)(_.ext.length, _.root)
+      tasks = absorb(emits(placed, new RoundBody(bc, gamma, tauSize, mode, conf.tauSplit, roundCostNs)))
     }
     bc.destroy()
 
@@ -304,8 +293,9 @@ object Engine {
     * redesigned engine: global queue + stealing), items with size >=
     * `bigFrom` come first, largest first, then the rest in arrival order,
     * dealt round-robin, so the first buckets start with the biggest items.
-    * Otherwise (the original engine) each item stays with the worker that
-    * owns it, FIFO — no prioritization, no stealing.
+    * Otherwise (the original engine, kept for Table 4's G-thinker column)
+    * each item stays with the worker that owns it, FIFO — no
+    * prioritization, no stealing.
     */
   private[gthinker] def buckets[T](items: Seq[T], slices: Int, prioritizeBig: Boolean, bigFrom: Int)
                 (size: T => Int, owner: T => Int): Array[ArrayBuffer[T]] = {
@@ -324,8 +314,10 @@ object Engine {
   private val PulledSlicesPerWorker = 2
 
   /** `buckets` as an RDD whose partition i holds bucket i, without a
-    * shuffle: one bucket per slice of `parallelize`. The original engine
-    * gets p static slices. The redesigned engine gets 2p slices that idle
+    * shuffle: one bucket per slice of `parallelize`. Owner placement
+    * (`prioritizeBig` = false), used only by Table 4's G-thinker column
+    * (`GThinkerApps`), gets p static slices. The redesigned engine, which
+    * runs every quasi-clique round, gets 2p slices that idle
     * cores pull: Spark starts slices 0 … p−1, which begin with the p
     * biggest items, and hands each later slice to whichever core frees
     * first (Spark's form of stealing from the global queue). That needs a

@@ -25,19 +25,12 @@ object TaskFeatures {
     * timed serially on one thread.
     */
   def egoTaskTimes(g: LocalGraph, gamma: Double, tauSize: Int): Seq[TaskTime] = {
-    val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = true)
-    val out = ArrayBuffer.empty[TaskTime]
-    var v = 0
-    while (v < mg.spawnUpper) {
-      TaskSpawn.egoTask(mg.graph, v, mg.k).foreach { case (task, _) =>
-        val features = GraphOps.features(task)
-        val t0 = System.nanoTime
-        new Miner(task, gamma, tauSize, _ => ()).recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
-        out += TaskTime(features, System.nanoTime - t0)
-      }
-      v += 1
-    }
-    out.toSeq
+    TaskSpawn.egoTasks(TaskSpawn.prelude(g, gamma, tauSize, recode = true)).map { case (task, _) =>
+      val features = GraphOps.features(task)
+      val t0 = System.nanoTime
+      new Miner(task, gamma, tauSize, _ => ()).recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
+      TaskTime(features, System.nanoTime - t0)
+    }.toSeq
   }
 
   def vector(f: SubgraphFeatures): Array[Double] = Array(

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.SpecHelpers.canonSet
 import repro.graph.{GraphGen, LocalGraph, NearThreshold}
 
 /** Quick+ must agree exactly with the brute-force enumerator on small random
@@ -8,8 +9,6 @@ import repro.graph.{GraphGen, LocalGraph, NearThreshold}
   * correctness test for the whole mining core.
   */
 class MinerCorrectnessSpec extends SparkSpec {
-
-  private def canonSet(rs: Seq[Array[Int]]): Set[Vector[Int]] = rs.map(_.toVector).toSet
 
   /** Asserts Quick+ == brute force and returns the brute-force answer. */
   private def checkAgainstBruteForce(g: LocalGraph, gamma: Double, tauSize: Int, label: String): Set[Vector[Int]] = {
@@ -79,7 +78,7 @@ class MinerCorrectnessSpec extends SparkSpec {
       val g     = GraphGen.erdosRenyi(12, 0.6, 77 + seed)
       val truth = canonSet(BruteForce.allMaximal(g, 0.75, 4))
       val plus  = canonSet(QuickPlus.mineSerial(g, 0.75, 4).maximal)
-      val quickOut = Quick.mineSerial(g, 0.75, 4)
+      val quickOut = QuickPlus.mineSerial(g, 0.75, 4, MinerConfig.quick)
       // soundness: every Quick candidate is a valid quasi-clique
       quickOut.candidates.foreach(s => assert(QuasiClique.isQuasiClique(g, s, 0.75)))
       assert(plus == truth, s"seed=$seed Quick+ must be exact")

@@ -253,6 +253,16 @@ class MinerInternalsSpec extends AnyFunSuite {
     assert(wallMillis < 2000, s"a 1 ms cap took $wallMillis ms")
   }
 
+  // a cap whose deadline does not fit in a Long saturates instead of wrapping
+  test("mineSerial with a cap of Long.MaxValue / 2 ms runs to the end") {
+    val d = GraphGen.gse1730Like()
+    val capped = QuickPlus.mineSerial(d.graph, d.gamma, d.tauSize, capMillis = Long.MaxValue / 2)
+    assert(!capped.timedOut)
+    val uncapped = QuickPlus.mineSerial(d.graph, d.gamma, d.tauSize)
+    assert(uncapped.maximal.nonEmpty)
+    assert(capped.maximal.map(_.toVector) == uncapped.maximal.map(_.toVector))
+  }
+
   // ------------------------------------------ derived bounding state
 
   /** Mines g as `mineSerial` does (prelude, one miner per ego task), with
@@ -263,12 +273,12 @@ class MinerInternalsSpec extends AnyFunSuite {
     */
   private def perTaskMine(g: LocalGraph, gamma: Double, tau: Int, config: MinerConfig,
                           checked: Boolean): (Seq[Vector[Int]], Int, Long) = {
-    val MiningGraph(k, gm, ids, spawnUpper) = TaskSpawn.prelude(g, gamma, tau, recode = config.isQuickPlus)
+    val mg = TaskSpawn.prelude(g, gamma, tau, recode = config.isQuickPlus)
     val out = ArrayBuffer.empty[Vector[Int]]
     var widest = 0; var derived = 0L
-    for (v <- 0 until spawnUpper; (task, taskIds) <- TaskSpawn.egoTask(gm, v, k)) {
+    for ((task, taskIds) <- TaskSpawn.egoTasks(mg)) {
       widest = math.max(widest, task.n)
-      val miner = new Miner(task, gamma, tau, arr => { out += QuasiClique.canon(arr.map(x => ids(taskIds(x)))).toVector; () }, config)
+      val miner = new Miner(task, gamma, tau, arr => { out += QuasiClique.canon(arr.map(x => mg.ids(taskIds(x)))).toVector; () }, config)
       miner.checkState = checked
       miner.recursiveMine(ArrayBuffer(0), ArrayBuffer.from(1 until task.n))
       derived += miner.derived

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.SpecHelpers.relabel
 import repro.graph.{GraphGen, LocalGraph, NearThreshold}
 import scala.util.Random
 
@@ -19,11 +20,6 @@ class PresetEquivalenceSpec extends AnyFunSuite {
     assert(rules == paper, s"$label: missing=${(paper -- rules).take(3)} extra=${(rules -- paper).take(3)}")
     paper
   }
-
-  /** g with vertex v renamed perm(v). */
-  private def relabel(g: LocalGraph, perm: Array[Int]): LocalGraph =
-    LocalGraph.fromEdges(g.n, g.packedEdges.map(e =>
-      LocalGraph.pack(perm(LocalGraph.unpackU(e)), perm(LocalGraph.unpackV(e)))))
 
   // the recoding, the ego tasks and so the search order all follow the ids
   for (d <- Seq(GraphGen.hyvesLike(), GraphGen.enronLike(), GraphGen.gse10158Like(),

@@ -5,34 +5,32 @@ import org.apache.spark.{ListenerBusSync, ShuffleDependency}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
+import repro.SpecHelpers.canonSet
 import repro.baselines.GThinkerApps
 import repro.core.{QuickPlus, BruteForce, TaskSpawn}
 import repro.graph.{GraphGen, GraphOps, LocalGraph, NearThreshold}
 import repro.predict.TaskFeatures
 
 /** The engine must produce exactly the serial Quick+ maximal result set, for
-  * every mode (A_base / A_split / A_time), engine variant (old/new), and
-  * parallelism — decomposition and scheduling may never change the answer.
+  * every mode (A_base / A_split / A_time) and parallelism — decomposition
+  * and scheduling may never change the answer.
   */
 class EngineSpec extends SparkSpec {
-
-  private def canonSet(rs: Seq[Array[Int]]): Set[Vector[Int]] = rs.map(_.toVector).toSet
 
   private def serialTruth(g: repro.graph.LocalGraph, gamma: Double, tau: Int): Set[Vector[Int]] =
     canonSet(QuickPlus.mineSerial(g, gamma, tau).maximal)
 
+  // "prioritize=true" names the engine's big-first placement, its only one
   for {
     (mode, label, tauSplit) <- Seq[(Mode, String, Int)](
       (ABase, "A_base", 8), (ASplit, "A_split(8)", 8), (ASplit, "A_split(2)", 2),
       (ATime(0.0), "A_time(0ms)", 8), (ATime(50.0), "A_time(50ms)", 8))
-    prioritize <- Seq(true, false)
-    par        <- Seq(1, 4)
-  } test(s"engine == serial Quick+ [$label, prioritize=$prioritize, p=$par]") {
+    par <- Seq(1, 4)
+  } test(s"engine == serial Quick+ [$label, prioritize=true, p=$par]") {
     for (seed <- Seq(11, 12)) {
       val g = GraphGen.erdosRenyi(40, 0.30, seed)
       val truth = serialTruth(g, 0.7, 5)
-      val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode,
-        EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = tauSplit))
+      val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode, EngineConfig(parallelism = par, tauSplit = tauSplit))
       assert(canonSet(res.maximal) == truth,
         s"seed=$seed missing=${(truth -- canonSet(res.maximal)).take(3)} extra=${(canonSet(res.maximal) -- truth).take(3)}")
     }
@@ -50,10 +48,9 @@ class EngineSpec extends SparkSpec {
       val (gamma, tau) = (Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3)
       val pg = NearThreshold.graph(seed)
       val ptruth = canonSet(BruteForce.allMaximal(pg, gamma, tau))
-      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); prioritize <- Seq(true, false); par <- 1 to 4) {
-        val res = Engine.run(spark.sparkContext, pg, gamma, tau, mode,
-          EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 2))
-        assert(canonSet(res.maximal) == ptruth, s"planted(seed=$seed) gamma=$gamma tau=$tau mode=$mode prioritize=$prioritize p=$par")
+      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); par <- 1 to 4) {
+        val res = Engine.run(spark.sparkContext, pg, gamma, tau, mode, EngineConfig(parallelism = par, tauSplit = 2))
+        assert(canonSet(res.maximal) == ptruth, s"planted(seed=$seed) gamma=$gamma tau=$tau mode=$mode p=$par")
       }
     }
   }
@@ -64,10 +61,9 @@ class EngineSpec extends SparkSpec {
       val (gamma, tau) = (Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3)
       val g = NearThreshold.overlapping(seed)
       val truth = canonSet(BruteForce.allMaximal(g, gamma, tau))
-      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); prioritize <- Seq(true, false); par <- Seq(1, 4)) {
-        val res = Engine.run(spark.sparkContext, g, gamma, tau, mode,
-          EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 2))
-        assert(canonSet(res.maximal) == truth, s"overlapping(seed=$seed) gamma=$gamma tau=$tau mode=$mode prioritize=$prioritize p=$par")
+      for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0)); par <- Seq(1, 4)) {
+        val res = Engine.run(spark.sparkContext, g, gamma, tau, mode, EngineConfig(parallelism = par, tauSplit = 2))
+        assert(canonSet(res.maximal) == truth, s"overlapping(seed=$seed) gamma=$gamma tau=$tau mode=$mode p=$par")
       }
       truth
     }
@@ -105,6 +101,7 @@ class EngineSpec extends SparkSpec {
     val mg = TaskSpawn.prelude(g, gamma, tau, recode = true)
     val tasks = (0 until mg.spawnUpper).flatMap(TaskSpawn.egoTask(mg.graph, _, mg.k))
     assert(tasks.nonEmpty)
+    assert(TaskSpawn.egoTasks(mg).map(_._2.toSeq).toSeq == tasks.map(_._2.toSeq))
     assert(times.size == tasks.size)
     assert(times.size == Engine.run(spark.sparkContext, g, gamma, tau, ABase, EngineConfig(4)).tasksProcessed)
     times.zip(tasks).foreach { case (t, (task, _)) =>
@@ -124,19 +121,6 @@ class EngineSpec extends SparkSpec {
     val time = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2))
     assert(time.subtasksSpawned > 0)
     assert(time.tasksProcessed - time.subtasksSpawned == base.tasksProcessed)
-  }
-
-  test("old engine mines every subtask locally: one round, nothing spilled, serial answer") {
-    val g = GraphGen.erdosRenyi(40, 0.35, 9)
-    val truth = serialTruth(g, 0.7, 5)
-    for ((mode, tauSplit) <- Seq[(Mode, Int)]((ABase, 8), (ASplit, 2), (ATime(0.0), 8))) {
-      val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode,
-        EngineConfig(2, prioritizeBigTasks = false, tauSplit = tauSplit))
-      assert(res.rounds == 1, s"mode=$mode")
-      assert(res.subtasksSpilled == 0, s"mode=$mode")
-      if (mode != ABase) assert(res.subtasksSpawned > 0, s"mode=$mode")
-      assert(canonSet(res.maximal) == truth, s"mode=$mode")
-    }
   }
 
   test("redesigned engine keeps subtrees that finish within a round's cost local") {
@@ -248,6 +232,8 @@ class EngineSpec extends SparkSpec {
     intercept[IllegalArgumentException](ATime(Double.NaN))
     intercept[IllegalArgumentException](Engine.run(spark.sparkContext, g, 0.7, 0, ABase, EngineConfig(2)))
     intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.7, 0))
+    for (cap <- Seq(0L, -1L))
+      intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.7, 3, capMillis = cap))
   }
 
   test("gamma outside [0.5, 1] is rejected even when no miner is ever built") {
@@ -268,7 +254,8 @@ class EngineSpec extends SparkSpec {
     for (p <- Seq(4, 1); prioritize <- Seq(true, false)) {
       val rdd = Engine.place(spark.sparkContext, tasks, p, prioritize, bigFrom = 5)(_.ext.length, _.root)
       // the redesigned engine deals 2p slices for idle cores to pull, unless
-      // more than p cores would then run them at once; the old engine deals p
+      // more than p cores would then run them at once; owner placement
+      // (Table 4's G-thinker column) deals p
       val slices = if (prioritize && cores <= p) 2 * p else p
       val buckets = Engine.buckets(tasks, slices, prioritize, bigFrom = 5)(_.ext.length, _.root)
       val got = rdd.mapPartitionsWithIndex((i, it) => it.map(t => (i, t.s(0)))).collect()

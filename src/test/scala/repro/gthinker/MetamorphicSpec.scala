@@ -1,6 +1,7 @@
 package repro.gthinker
 
 import repro.SparkSpec
+import repro.SpecHelpers.{canonSet, relabel}
 import repro.core.QuickPlus
 import repro.graph.{LocalGraph, NearThreshold}
 
@@ -11,8 +12,6 @@ import repro.graph.{LocalGraph, NearThreshold}
   */
 class MetamorphicSpec extends SparkSpec {
 
-  private def canonSet(rs: Seq[Array[Int]]): Set[Vector[Int]] = rs.map(_.toVector).toSet
-
   private val seeds = 1 to 5
   /** γ and τ_size cycle with the seed, as in the brute-force sweeps. */
   private def params(seed: Int): (Double, Int) = (Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3)
@@ -21,10 +20,6 @@ class MetamorphicSpec extends SparkSpec {
     "serial Quick+" -> ((g, gamma, tau) => canonSet(QuickPlus.mineSerial(g, gamma, tau).maximal)),
     "engine A_time(0), p=4" -> ((g, gamma, tau) =>
       canonSet(Engine.run(spark.sparkContext, g, gamma, tau, ATime(0.0), EngineConfig(4, tauSplit = 2)).maximal)))
-
-  /** `g` with each edge (u, v) renamed (perm(u), perm(v)). */
-  private def relabel(g: LocalGraph, perm: Array[Int]): LocalGraph =
-    LocalGraph.fromEdges(g.n, g.packedEdges.map(e => LocalGraph.pack(perm(LocalGraph.unpackU(e)), perm(LocalGraph.unpackV(e)))))
 
   for ((name, mine) <- miners) {
     test(s"$name: a vertex permutation π gives exactly π(answer)") {

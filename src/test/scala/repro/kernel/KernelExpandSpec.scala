@@ -1,13 +1,12 @@
 package repro.kernel
 
 import repro.SparkSpec
+import repro.SpecHelpers.canonSet
 import repro.core.{BruteForce, QuasiClique}
 import repro.graph.{GraphGen, LocalGraph}
 import repro.gthinker.{ASplit, EngineConfig}
 
 class KernelExpandSpec extends SparkSpec {
-
-  private def canonSet(rs: Seq[Array[Int]]): Set[Vector[Int]] = rs.map(_.toVector).toSet
 
   /** Two far-apart dense regions: a 7-clique on 0..6 and a 6-clique on
     * 10..15, joined by a long path so the graph is connected.
