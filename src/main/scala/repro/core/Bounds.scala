@@ -19,57 +19,19 @@ object Bounds {
   final case class Ok(us: Int, ls: Int) extends Verdict
 
   /** Inputs: |S|, Σ_{v∈S} d_S(v), min over S of d_S(v)+d_ext(v), min over S
-    * of d_S(v), and the d_S(u) values of ext sorted non-increasing.
-    * `quickCompat` disables the boundary-case prunes that only Quick+ has
-    * (falling back to the loosest feasible bound instead). This is the
-    * reference form: it expands all of Lemma 2's prefix sums up front. The
-    * miner calls the histogram form below.
-    */
-  def compute(
-      sSize: Int,
-      sumDS: Int,
-      dMinTotal: Int,
-      dMinS: Int,
-      dSExtDesc: Array[Int],
-      gamma: Double,
-      quickCompat: Boolean): Verdict = {
-    require(sSize > 0, "bounds need a non-empty S")
-    val nExt = dSExtDesc.length
-    val ceil = QuasiClique.ceilTable(gamma, sSize + nExt)
-    // prefix(t): the sum of the t largest d_S values of ext (Lemma 2)
-    val prefix = new Array[Int](nExt + 1)
-    var i = 0
-    while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
-    def lemma2Holds(t: Int): Boolean = sumDS + prefix(t) >= sSize * ceil(sSize + t - 1)
-
-    // ---- U_S (Eqs 1-4) ----
-    val tMaxU = math.min(QuasiClique.floorDiv(dMinTotal, gamma) + 1 - sSize, nExt)
-    var us = tMaxU
-    while (us >= 1 && !lemma2Holds(us)) us -= 1
-    if (us < 1) {
-      if (!quickCompat || tMaxU < 1) return PruneExtensions
-      us = tMaxU
-    }
-
-    // ---- L_S (Eqs 6-8) ----
-    var lsMin = 0
-    while (lsMin <= nExt && dMinS + lsMin < ceil(sSize + lsMin - 1)) lsMin += 1
-    if (lsMin > nExt) return PruneAll
-    var ls = lsMin
-    while (ls <= nExt && !lemma2Holds(ls)) ls += 1
-    if (ls <= nExt) Ok(us, ls)
-    else if (quickCompat) Ok(us, lsMin)
-    else PruneAll
-  }
-
-  /** As above, with the d_S values of ext given as a histogram: `hist(d)` is
-    * the number of ext vertices with d_S = d, for 0 <= d <= sSize (bins
-    * above sSize are ignored), and nExt is their total. Lemma 2's prefix
-    * sums are walked lazily from it: U_S needs prefix(t) only from tMaxU
-    * downwards, L_S only from lsMin upwards, each until its first hit, so
-    * a pass costs O(sSize + steps) instead of O(nExt). `ceil(m)` must be
-    * ⌈γ·m⌉ for m < sSize + nExt (see `QuasiClique.ceilTable`); γ itself is
-    * still needed for ⌊d/γ⌋.
+    * of d_S(v), and the d_S values of ext as a histogram: `hist(d)` is the
+    * number of ext vertices with d_S = d, for 0 <= d <= sSize (bins above
+    * sSize are ignored), and nExt is their total. `quickCompat` disables the
+    * boundary-case prunes that only Quick+ has (falling back to the loosest
+    * feasible bound instead).
+    *
+    * Lemma 2's prefix sums are walked lazily from the histogram: U_S needs
+    * prefix(t) only from tMaxU downwards, L_S only from lsMin upwards, each
+    * until its first hit, so a pass costs O(sSize + steps) instead of
+    * O(nExt). `ceil(m)` must be ⌈γ·m⌉ for m < sSize + nExt (see
+    * `QuasiClique.ceilTable`); γ itself is still needed for ⌊d/γ⌋.
+    * `BoundsSpec` holds the eager reference form, which expands all of the
+    * prefix sums up front, and checks this one against it.
     */
   def compute(
       sSize: Int,
@@ -107,8 +69,9 @@ object Bounds {
     if (us < 0) {
       if (!quickCompat) return PruneExtensions
       // Quick fallback: no boundary prune; if even U_S^min < 1 the original
-      // Quick bound still prunes extensions (it is Quick's own Eq 3), but
-      // without Quick+'s G(S) re-examination — the caller handles that.
+      // Quick bound still prunes extensions (it is Quick's own Eq 3), and the
+      // caller examines G(S) for Quick+ only (one of its two live G(S)
+      // checks). Both returns also cover Theorem 4 (i) (DESIGN.md, lemma (i)).
       if (tMaxU < 1) return PruneExtensions
       us = tMaxU
     }

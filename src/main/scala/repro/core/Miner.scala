@@ -9,10 +9,12 @@ import scala.collection.mutable.ArrayBuffer
   *  - all critical vertices are moved per bounding iteration (Quick: one);
   *  - boundary cases of the U_S / L_S computation trigger Type-II pruning
   *    (Quick: falls back to a loose bound);
-  *  - G(S) itself is examined where only S's *extensions* are pruned —
-  *    before a critical-vertex move, on Theorem 4 Condition (i), and when
-  *    ext(S') becomes empty after diameter shrinking (Quick misses these
-  *    checks and thus can miss maximal results).
+  *  - G(S) itself is examined where only S's *extensions* are pruned.
+  *    The published Quick+ does so in four places. Two of them can never
+  *    emit here, given its own boundary prune (DESIGN.md, lemmas (i) and
+  *    (ii)): before a critical-vertex move, and on Theorem 4 Condition (i).
+  *    The two live ones are `Bounds.PruneExtensions` and ext(S') = ∅ after
+  *    diameter shrinking; Quick lacks them and so can miss maximal results.
   *
   * `extraPrunes` adds two sound prunes that the paper's P1–P7 lack
   * (DESIGN.md, "Rules A and B"): rule A, a common-neighbour bound on every
@@ -122,6 +124,7 @@ final class Miner(
     deadlineNanos: Long = Long.MaxValue) {
 
   require(gamma >= 0.5 && gamma <= 1.0, s"miner assumes diameter-2 pruning, needs gamma in [0.5,1], got $gamma")
+  require(tauSize >= 1, s"tauSize must be at least 1, got $tauSize")
   // orderExt packs (d_S, d_ext, position) into one Long, 21 bits each
   require(g.n < (1 << 21), s"task graph too large for the miner: ${g.n} vertices")
   import java.lang.Long.{bitCount, numberOfTrailingZeros}
@@ -327,11 +330,18 @@ final class Miner(
       }
       i += 1
     }
-    if (checkState) assertExact(f)
+    if (checkState) {
+      // lemma (ii): the S before the move, s(0 until from), fails the degree test
+      setBits(qBits, f.s, 0, from)
+      if (qBitsValid(from)) throw new IllegalStateException(s"G(S) passes the degree test at a move (S=${f.s.take(from).toSeq})")
+      assertExact(f)
+    }
   }
 
   /** Checked mode: f's bitsets, d_S, d_ext (of ext only once filled) and
     * histogram bins 0..|S| equal those of a full recompute from its arrays.
+    * Every state a bounding pass reads passes through here first, so lemma
+    * (i) is asserted here too.
     */
   private def assertExact(f: Miner.Frame): Unit = {
     val r = checkFrame
@@ -356,6 +366,10 @@ final class Miner(
     }
     i = 0
     while (i <= f.sLen) { if (f.hist(i) != r.hist(i)) fail(s"d_S histogram bin $i"); i += 1 }
+    // lemma (i): if Theorem 4 (i) holds for a member of S, Bounds prunes the extensions
+    if ((0 until f.sLen).exists(j => f.dExt(f.s(j)) == 0 && f.dS(f.s(j)) < ceilG(f.sLen)) &&
+        boundsOf(f) != Bounds.PruneExtensions)
+      throw new IllegalStateException(s"Theorem 4 (i) holds but Bounds kept the extensions (S=${f.s.take(f.sLen).toSeq})")
   }
 
   /** Definition 1 for the m vertices in `qBits`, by popcount degrees
@@ -364,9 +378,10 @@ final class Miner(
     * table's 1e-9 guard keeps this). So two non-adjacent members have at
     * least m − 1 neighbours between them among the other m − 2 and share
     * one: the set has diameter <= 2 (Pei, Jiang & Zhang, KDD 2005).
+    * m >= 1 at every call: the output and lookahead checks test sets of at
+    * least τ_size >= 1 vertices, and checked mode a non-empty S.
     */
   private def qBitsValid(m: Int): Boolean = {
-    if (m == 0) return false
     val need = ceilG(m - 1)
     var k = 0
     while (k < words) {
@@ -462,13 +477,13 @@ final class Miner(
           }
           if (timers ne null) timers.criticalNs += System.nanoTime - t0
           if (end > sLen) {
-            // the paper examines G(S) before expanding it (missed by Quick)
-            if (plus) checkOutput(s, sLen)
+            // the published Quick+ examines G(S) here; it never passes (lemma (ii))
             f.sLen = end
             moveToS(f, sLen, end)
           } else {
-            // ---- Type-II pruning (Theorems 4, 6, 8) ----
-            var thm4i = false; var saturated = false
+            // ---- Type-II pruning (Theorems 4 (ii), 6, 8); Theorem 4 (i)
+            // never holds here, as Bounds has pruned then (lemma (i)) ----
+            var saturated = false
             val needU = ceilG(sLen + us - 1); val needL = ceilG(sLen + ls - 1)
             i = 0
             while (i < sLen) {
@@ -476,7 +491,6 @@ final class Miner(
               if (ds + de < ceilG(sLen - 1 + de)) return true   // Thm 4 (ii)
               if (ds + us < needU) return true                  // Thm 6
               if (ds + de < needL) return true                  // Thm 8
-              if (de == 0 && ds < ceilG(sLen)) thm4i = true     // Thm 4 (i)
               if (extra && ds + us == needU) {
                 // rule B: v already has the B(|S| + U_S) non-neighbours in S
                 // that a result may give it, so every extension is v's
@@ -486,11 +500,6 @@ final class Miner(
                 else { System.arraycopy(rows, base, sat, 0, words); saturated = true }
               }
               i += 1
-            }
-            if (thm4i) {
-              // extensions pruned but G(S) itself survives (Quick prunes it)
-              if (plus) checkOutput(s, sLen)
-              return true
             }
             // ---- Type-I pruning, ext compacted in place: first the rules
             // that read d_S alone (Theorem 5, rule B) ----

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Graph algorithms used by the miners and the task engine:
   * k-core peeling (pruning rule P2, and degeneracy for task features),
   * induced subgraphs, 2-hop neighborhoods (diameter pruning P1), and the
@@ -147,26 +145,6 @@ object GraphOps {
     val arr = out.result()
     java.util.Arrays.sort(arr)
     arr
-  }
-
-  /** Is the subgraph induced by `vs` connected? BFS restricted to `vs`. */
-  def connectedInduced(g: LocalGraph, vs: Array[Int]): Boolean = {
-    if (vs.length <= 1) return true
-    val in = new mutable.HashSet[Int]
-    vs.foreach(in += _)
-    val seen  = new mutable.HashSet[Int]
-    val queue = new java.util.ArrayDeque[Int]()
-    queue.add(vs(0)); seen += vs(0)
-    while (!queue.isEmpty) {
-      val u = queue.poll()
-      val a = g.adj(u); var i = 0
-      while (i < a.length) {
-        val w = a(i)
-        if (in.contains(w) && seen.add(w)) queue.add(w)
-        i += 1
-      }
-    }
-    seen.size == vs.length
   }
 
   /** ID recoding for the degenerate cover-vertex rule (P7, T6): the highest-

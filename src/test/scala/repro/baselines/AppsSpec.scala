@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core.BruteForce
-import repro.graph.GraphGen
+import repro.graph.TestGraphs
 
 /** The Table-4 workloads: every implementation (task engine old/new,
   * Arabesque-style embedding expansion, Catalyst joins) must agree with the
@@ -15,7 +15,7 @@ class AppsSpec extends SparkSpec {
 
   for (seed <- Seq(1, 2, 3); p <- Seq(0.2, 0.5)) {
     test(s"TC: engine (old+new), EmbedExpand, SqlJoin all match brute force (seed=$seed p=$p)") {
-      val g = GraphGen.erdosRenyi(30, p, seed)
+      val g = TestGraphs.erdosRenyi(30, p, seed)
       val truth = BruteForce.triangles(g)
       assert(GThinkerApps.triangleCount(sc, g, 4, prioritizeBig = true).value == truth)
       assert(GThinkerApps.triangleCount(sc, g, 4, prioritizeBig = false).value == truth)
@@ -24,7 +24,7 @@ class AppsSpec extends SparkSpec {
     }
 
     test(s"GM (4-cliques): all implementations match brute force (seed=$seed p=$p)") {
-      val g = GraphGen.erdosRenyi(25, p, seed + 10)
+      val g = TestGraphs.erdosRenyi(25, p, seed + 10)
       val truth = BruteForce.fourCliques(g)
       assert(GThinkerApps.fourCliqueCount(sc, g, 4).value == truth)
       assert(GThinkerApps.fourCliqueCount(sc, g, 4, prioritizeBig = false).value == truth)
@@ -33,7 +33,7 @@ class AppsSpec extends SparkSpec {
     }
 
     test(s"MCF: engine and EmbedExpand match brute force (seed=$seed p=$p)") {
-      val g = GraphGen.erdosRenyi(22, p, seed + 20)
+      val g = TestGraphs.erdosRenyi(22, p, seed + 20)
       val truth = BruteForce.maxCliqueSize(g).toLong
       assert(GThinkerApps.maxClique(sc, g, 4).value == truth)
       assert(GThinkerApps.maxClique(sc, g, 4, prioritizeBig = false).value == truth)
@@ -45,14 +45,14 @@ class AppsSpec extends SparkSpec {
   }
 
   test("graphEdges matches LocalGraph edge count and orientation") {
-    val g = GraphGen.erdosRenyi(30, 0.3, 5)
+    val g = TestGraphs.erdosRenyi(30, 0.3, 5)
     val e = SqlJoin.graphEdges(spark, g)
     assert(e.count() == g.numEdges)
     assert(e.filter(col("src") >= col("dst")).count() == 0)
   }
 
   test("SqlJoin triangle join is oracle-equivalent to DuckDB") {
-    val g = GraphGen.erdosRenyi(28, 0.35, 9)
+    val g = TestGraphs.erdosRenyi(28, 0.35, 9)
     val edges = SqlJoin.graphEdges(spark, g)
     Oracle.assertEquivalent(SqlJoin.triangles(edges),
       """SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
@@ -62,7 +62,7 @@ class AppsSpec extends SparkSpec {
   }
 
   test("EmbedExpand maxClique reports embedding explosion instead of running away") {
-    val g = GraphGen.erdosRenyi(24, 0.95, 2) // near-complete: ~2^24 clique embeddings
+    val g = TestGraphs.erdosRenyi(24, 0.95, 2) // near-complete: ~2^24 clique embeddings
     EmbedExpand.maxClique(sc, g, 4, maxEmbeddings = 1000) match {
       case Left(msg) => assert(msg.contains("memory"))
       case Right(r)  => fail(s"expected overflow, got $r")
@@ -70,7 +70,7 @@ class AppsSpec extends SparkSpec {
   }
 
   test("triangle counting on a planted dataset slice is consistent across engines") {
-    val g = GraphGen.erdosRenyi(60, 0.15, 77)
+    val g = TestGraphs.erdosRenyi(60, 0.15, 77)
     val a = GThinkerApps.triangleCount(sc, g, 8).value
     val b = EmbedExpand.triangleCount(sc, g, 8).value
     val c = SqlJoin.triangleCount(spark, g).value

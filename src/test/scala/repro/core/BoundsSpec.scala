@@ -1,8 +1,59 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{LocalGraph, TestGraphs}
 import scala.util.Random
+
+/** The eager form of `Bounds.compute`, the reference that `BoundsSpec`
+  * checks the miner's histogram form against.
+  */
+object EagerBounds {
+  import Bounds.{Ok, PruneAll, PruneExtensions, Verdict}
+
+  /** Inputs: |S|, Σ_{v∈S} d_S(v), min over S of d_S(v)+d_ext(v), min over S
+    * of d_S(v), and the d_S(u) values of ext sorted non-increasing.
+    * `quickCompat` disables the boundary-case prunes that only Quick+ has
+    * (falling back to the loosest feasible bound instead). This is the
+    * reference form: it expands all of Lemma 2's prefix sums up front. The
+    * miner calls the histogram form, `Bounds.compute`.
+    */
+  def compute(
+      sSize: Int,
+      sumDS: Int,
+      dMinTotal: Int,
+      dMinS: Int,
+      dSExtDesc: Array[Int],
+      gamma: Double,
+      quickCompat: Boolean): Verdict = {
+    require(sSize > 0, "bounds need a non-empty S")
+    val nExt = dSExtDesc.length
+    val ceil = QuasiClique.ceilTable(gamma, sSize + nExt)
+    // prefix(t): the sum of the t largest d_S values of ext (Lemma 2)
+    val prefix = new Array[Int](nExt + 1)
+    var i = 0
+    while (i < nExt) { prefix(i + 1) = prefix(i) + dSExtDesc(i); i += 1 }
+    def lemma2Holds(t: Int): Boolean = sumDS + prefix(t) >= sSize * ceil(sSize + t - 1)
+
+    // ---- U_S (Eqs 1-4) ----
+    val tMaxU = math.min(QuasiClique.floorDiv(dMinTotal, gamma) + 1 - sSize, nExt)
+    var us = tMaxU
+    while (us >= 1 && !lemma2Holds(us)) us -= 1
+    if (us < 1) {
+      if (!quickCompat || tMaxU < 1) return PruneExtensions
+      us = tMaxU
+    }
+
+    // ---- L_S (Eqs 6-8) ----
+    var lsMin = 0
+    while (lsMin <= nExt && dMinS + lsMin < ceil(sSize + lsMin - 1)) lsMin += 1
+    if (lsMin > nExt) return PruneAll
+    var ls = lsMin
+    while (ls <= nExt && !lemma2Holds(ls)) ls += 1
+    if (ls <= nExt) Ok(us, ls)
+    else if (quickCompat) Ok(us, lsMin)
+    else PruneAll
+  }
+}
 
 /** Property tests for U_S / L_S: on random (graph, S, ext) instances the
   * verdicts must sandwich every ACTUAL valid extension found by brute force.
@@ -39,7 +90,7 @@ class BoundsSpec extends AnyFunSuite {
 
   for (seed <- 1 to 12) test(s"verdict sandwiches all valid extension sizes (seed=$seed)") {
     val rnd = new Random(seed)
-    val g = GraphGen.erdosRenyi(14, 0.5 + 0.3 * rnd.nextDouble(), seed * 17)
+    val g = TestGraphs.erdosRenyi(14, 0.5 + 0.3 * rnd.nextDouble(), seed * 17)
     val gamma = Seq(0.5, 0.6, 0.75, 0.9)(rnd.nextInt(4))
     val perm = rnd.shuffle((0 until g.n).toList)
     val s = perm.take(1 + rnd.nextInt(4)).toArray
@@ -48,7 +99,7 @@ class BoundsSpec extends AnyFunSuite {
     val sizes = validExtensionSizes(g, s, ext, gamma)
 
     for (quickCompat <- Seq(false, true)) {
-      Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat) match {
+      EagerBounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat) match {
         case Bounds.PruneAll =>
           assert(sizes.isEmpty, s"gamma=$gamma PruneAll but valid sizes=$sizes")
         case Bounds.PruneExtensions =>
@@ -66,13 +117,13 @@ class BoundsSpec extends AnyFunSuite {
   test("quickCompat never prunes when quickPlus does not (it is strictly weaker)") {
     val rnd = new Random(7)
     for (_ <- 1 to 30) {
-      val g = GraphGen.erdosRenyi(12, 0.5, rnd.nextInt(1000))
+      val g = TestGraphs.erdosRenyi(12, 0.5, rnd.nextInt(1000))
       val perm = rnd.shuffle((0 until g.n).toList)
       val s = perm.take(2).toArray
       val ext = perm.slice(2, 8).toArray
       val (sumDS, dMinTotal, dMinS, dsExt) = degreesOf(g, s, ext)
-      val plus  = Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, 0.8, quickCompat = false)
-      val quick = Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, 0.8, quickCompat = true)
+      val plus  = EagerBounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, 0.8, quickCompat = false)
+      val quick = EagerBounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, 0.8, quickCompat = true)
       (plus, quick) match {
         case (Bounds.Ok(_, _), Bounds.PruneExtensions) =>
           fail("quick pruned extensions where quick+ kept them")
@@ -86,10 +137,10 @@ class BoundsSpec extends AnyFunSuite {
   test("clique instance: U_S and L_S are exact at the boundary") {
     // complete graph K6, S = {0,1}, ext = {2,3,4,5}, gamma = 1 (cliques):
     // every extension size 0..4 is valid, so L_S = 0 and U_S = 4
-    val g = GraphGen.erdosRenyi(6, 1.1, 0)
+    val g = TestGraphs.erdosRenyi(6, 1.1, 0)
     val s = Array(0, 1); val ext = Array(2, 3, 4, 5)
     val (sumDS, dMinTotal, dMinS, dsExt) = degreesOf(g, s, ext)
-    Bounds.compute(2, sumDS, dMinTotal, dMinS, dsExt, 1.0, quickCompat = false) match {
+    EagerBounds.compute(2, sumDS, dMinTotal, dMinS, dsExt, 1.0, quickCompat = false) match {
       case Bounds.Ok(us, ls) => assert(us == 4 && ls == 0)
       case v                 => fail(s"unexpected verdict $v")
     }
@@ -106,7 +157,7 @@ class BoundsSpec extends AnyFunSuite {
       val gamma = gammaStr.toDouble
       val exact = Array.tabulate(41)(m =>
         (BigDecimal(gammaStr) * m).setScale(0, BigDecimal.RoundingMode.CEILING).toInt)
-      val table = new Miner(GraphGen.erdosRenyi(38, 0.3, 1), gamma, 2, _ => ()).ceilG
+      val table = new Miner(TestGraphs.erdosRenyi(38, 0.3, 1), gamma, 2, _ => ()).ceilG
       var onInteger = 0; var emptyExt = 0
       for (_ <- 1 to 400) {
         val sSize = 1 + rnd.nextInt(12)
@@ -121,7 +172,7 @@ class BoundsSpec extends AnyFunSuite {
         if ((1 until sSize + nExt).exists(m => (BigDecimal(gammaStr) * m).isWhole)) onInteger += 1
         if (nExt == 0) emptyExt += 1
         for (quickCompat <- Seq(false, true)) {
-          val ref = Bounds.compute(sSize, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat)
+          val ref = EagerBounds.compute(sSize, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat)
           def withTable(t: Array[Int]) =
             Bounds.compute(sSize, sumDS, dMinTotal, dMinS, hist, nExt, gamma, t, quickCompat)
           val ctx = s"gamma=$gammaStr |S|=$sSize sumDS=$sumDS dMinTotal=$dMinTotal dMinS=$dMinS dsExt=${dsExt.toSeq} quick=$quickCompat"
@@ -136,7 +187,7 @@ class BoundsSpec extends AnyFunSuite {
 
   test("the miner's ceil table is ceilGamma for every m <= n + 1") {
     for (n <- Seq(0, 1, 12, 64, 130); gamma <- Seq(0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0)) {
-      val table = new Miner(GraphGen.erdosRenyi(n, 0.2, n), gamma, 2, _ => ()).ceilG
+      val table = new Miner(TestGraphs.erdosRenyi(n, 0.2, n), gamma, 2, _ => ()).ceilG
       assert(table.length == n + 2, s"n=$n")
       for (m <- 0 to n + 1) assert(table(m) == QuasiClique.ceilGamma(gamma, m), s"n=$n gamma=$gamma m=$m")
     }
@@ -144,7 +195,7 @@ class BoundsSpec extends AnyFunSuite {
 
   test("bounds require non-empty S") {
     intercept[IllegalArgumentException] {
-      Bounds.compute(0, 0, 0, 0, Array.emptyIntArray, 0.9, quickCompat = false)
+      EagerBounds.compute(0, 0, 0, 0, Array.emptyIntArray, 0.9, quickCompat = false)
     }
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.SpecHelpers.canonSet
-import repro.graph.{GraphGen, LocalGraph, NearThreshold}
+import repro.graph.{GraphGen, LocalGraph, NearThreshold, TestGraphs}
 
 /** Quick+ must agree exactly with the brute-force enumerator on small random
   * graphs, across γ, τ_size, densities and seeds. This is the definitional
@@ -26,13 +26,13 @@ class MinerCorrectnessSpec extends SparkSpec {
     tau   <- Seq(3, 4)
     seed  <- Seq(1, 2)
   } test(s"Quick+ == brute force (n=$n p=$p gamma=$gamma tau=$tau seed=$seed)") {
-    val g = GraphGen.erdosRenyi(n, p, seed * 1000 + n)
+    val g = TestGraphs.erdosRenyi(n, p, seed * 1000 + n)
     checkAgainstBruteForce(g, gamma, tau, s"ER($n,$p,seed=$seed)")
   }
 
   test("Quick+ == brute force on denser graphs with larger tau") {
     for (seed <- 1 to 6) {
-      val g = GraphGen.erdosRenyi(13, 0.8, seed)
+      val g = TestGraphs.erdosRenyi(13, 0.8, seed)
       checkAgainstBruteForce(g, 0.85, 6, s"dense seed=$seed")
     }
   }
@@ -75,12 +75,12 @@ class MinerCorrectnessSpec extends SparkSpec {
   test("Quick is sound (only valid quasi-cliques) but misses results that Quick+ finds") {
     var missedSomewhere = false
     for (seed <- 1 to 8) {
-      val g     = GraphGen.erdosRenyi(12, 0.6, 77 + seed)
+      val g     = TestGraphs.erdosRenyi(12, 0.6, 77 + seed)
       val truth = canonSet(BruteForce.allMaximal(g, 0.75, 4))
       val plus  = canonSet(QuickPlus.mineSerial(g, 0.75, 4).maximal)
       val quickOut = QuickPlus.mineSerial(g, 0.75, 4, MinerConfig.quick)
       // soundness: every Quick candidate is a valid quasi-clique
-      quickOut.candidates.foreach(s => assert(QuasiClique.isQuasiClique(g, s, 0.75)))
+      quickOut.candidates.foreach(s => assert(BruteForce.isQuasiClique(g, s, 0.75)))
       assert(plus == truth, s"seed=$seed Quick+ must be exact")
       // completeness gap: Quick may miss maximal results (paper, Table 15 notes)
       val quickMax = canonSet(quickOut.maximal)
@@ -97,9 +97,9 @@ class MinerCorrectnessSpec extends SparkSpec {
   }
 
   test("Figure 1 example: S2 = {a,b,c,d,e} is a maximal 0.6-quasi-clique; S1 is not maximal") {
-    val g = GraphGen.figure1
-    assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3), 0.6))    // S1 valid
-    assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3, 4), 0.6)) // S2 valid
+    val g = TestGraphs.figure1
+    assert(BruteForce.isQuasiClique(g, Array(0, 1, 2, 3), 0.6))    // S1 valid
+    assert(BruteForce.isQuasiClique(g, Array(0, 1, 2, 3, 4), 0.6)) // S2 valid
     val maximal = canonSet(QuickPlus.mineSerial(g, 0.6, 4).maximal)
     assert(maximal.contains(Vector(0, 1, 2, 3, 4)))
     assert(!maximal.contains(Vector(0, 1, 2, 3))) // S1 subsumed by S2

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph, NearThreshold}
+import repro.graph.{GraphGen, LocalGraph, NearThreshold, TestGraphs}
 import repro.gthinker.{ASplit, ATime}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -25,7 +25,7 @@ class MinerInternalsSpec extends AnyFunSuite {
       // Theorem (P7): for any γ-QC Q built from S plus ONLY vertices of
       // C_S(u), Q ∪ {u} is also a γ-QC — so Q is never maximal.
       val rnd = new Random(seed)
-      val g = GraphGen.erdosRenyi(n, 0.6 + 0.2 * rnd.nextDouble(), seed * 13 + (if (n == 12) 0 else n))
+      val g = TestGraphs.erdosRenyi(n, 0.6 + 0.2 * rnd.nextDouble(), seed * 13 + (if (n == 12) 0 else n))
       val gamma = Seq(0.6, 0.75, 0.9)(rnd.nextInt(3))
       val perm = rnd.shuffle((0 until g.n).toList)
       val s = perm.take(1 + rnd.nextInt(3)).toArray
@@ -50,9 +50,9 @@ class MinerInternalsSpec extends AnyFunSuite {
         while (mask < (1 << cover.length)) {
           val z = cover.indices.filter(i => (mask & (1 << i)) != 0).map(cover)
           val q = (s ++ z).sorted
-          if (QuasiClique.isQuasiClique(g, q, gamma)) {
+          if (BruteForce.isQuasiClique(g, q, gamma)) {
             val extendable = ext.exists(u => !coverSet.contains(u) && !q.contains(u) &&
-              QuasiClique.isQuasiClique(g, (q :+ u).sorted, gamma))
+              BruteForce.isQuasiClique(g, (q :+ u).sorted, gamma))
             assert(extendable, s"n=$n QC ${q.toSeq} from cover set is not extendable: cover=${cover.toSeq} s=${s.toSeq}")
           }
           mask += 1
@@ -68,7 +68,7 @@ class MinerInternalsSpec extends AnyFunSuite {
   for (seed <- 1 to 6) test(s"diameterShrink keeps exactly the 2-hop reachable ext vertices (seed=$seed)") {
     // average degree 3 at every n; n > 64 spans several bitset words
     for (n <- Seq(20, 63, 64, 65, 130)) {
-      val g = GraphGen.erdosRenyi(n, 3.0 / n, seed * 7 + (if (n == 20) 0 else n))
+      val g = TestGraphs.erdosRenyi(n, 3.0 / n, seed * 7 + (if (n == 20) 0 else n))
       val rnd = new Random(seed)
       val perm = rnd.shuffle((0 until g.n).toList)
       val v = perm.head
@@ -88,7 +88,7 @@ class MinerInternalsSpec extends AnyFunSuite {
   // cached for the wrong vertex or word shows up as a wrong filter.
   for (seed <- 1 to 3) test(s"diameterShrink reads the right cached 2-hop row on repeated calls (seed=$seed)") {
     for (n <- Seq(63, 64, 65, 130)) {
-      val g = GraphGen.erdosRenyi(n, 3.0 / n, seed * 5 + n)
+      val g = TestGraphs.erdosRenyi(n, 3.0 / n, seed * 5 + n)
       val rnd = new Random(seed * 1000 + n)
       val miner = newMiner(g, 0.9, 2, config = MinerConfig.quickPlusPaper)
       val vs = rnd.shuffle((0 until n).toList).take(8)
@@ -115,7 +115,7 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // graphs dense enough that a pair has about 4 common neighbours, near
   // rule A's thresholds, so the rows keep some 2-hop vertices and drop others
-  private def pairGraph(n: Int, seed: Int): LocalGraph = GraphGen.erdosRenyi(n, math.sqrt(4.0 / n), seed)
+  private def pairGraph(n: Int, seed: Int): LocalGraph = TestGraphs.erdosRenyi(n, math.sqrt(4.0 / n), seed)
   private val pairParams = Seq((0.75, 8), (0.9, 6), (0.6, 12))
 
   for (seed <- 1 to 6) test(s"diameterShrink keeps rule A's pair row (seed=$seed)") {
@@ -150,7 +150,7 @@ class MinerInternalsSpec extends AnyFunSuite {
   }
 
   for (seed <- 1 to 4) test(s"recursiveMine == brute force on vertices placed across bitset word boundaries (seed=$seed)") {
-    val compact = GraphGen.erdosRenyi(14, 0.6, seed * 31)
+    val compact = TestGraphs.erdosRenyi(14, 0.6, seed * 31)
     // ids straddling 63/64 and 127/128 in a graph padded with isolated vertices
     val ids = Array(60, 61, 62, 63, 64, 65, 66, 124, 125, 126, 127, 128, 129, 130)
     val edges = compact.packedEdges.map(e => LocalGraph.pack(ids(LocalGraph.unpackU(e)), ids(LocalGraph.unpackV(e))))
@@ -200,13 +200,13 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // A_split at the task root (the one-level decomposition)
   for (seed <- 1 to 6) test(s"decomposeOneLevel + child recursion == recursiveMine (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(14, 0.55, seed * 11)
+    val g = TestGraphs.erdosRenyi(14, 0.55, seed * 11)
     for ((policy, rule) <- spawnRules(g.n)) assertSpawningComplete(g, 0.7, policy, rule)
   }
 
   // A_time with an immediate timeout: every surviving branch is spawned
   for (seed <- 1 to 6) test(s"timeDelayed with immediate timeout + child recursion == recursiveMine (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(14, 0.55, seed * 19)
+    val g = TestGraphs.erdosRenyi(14, 0.55, seed * 19)
     for ((policy, rule) <- spawnRules(g.n)) assertSpawningComplete(g, 0.75, policy, rule)
   }
 
@@ -216,7 +216,7 @@ class MinerInternalsSpec extends AnyFunSuite {
     assert((0 to 5).forall(d => !small(d)))
     assert(big(0) && (1 to 5).forall(d => !big(d)))
 
-    val g = GraphGen.erdosRenyi(14, 0.55, 11)
+    val g = TestGraphs.erdosRenyi(14, 0.55, 11)
     def run(rule: Int => Boolean): (Seq[Int], Int) = {
       val asked = ArrayBuffer.empty[Int]
       var spawned = 0
@@ -233,7 +233,7 @@ class MinerInternalsSpec extends AnyFunSuite {
   }
 
   test("a spawning search past its deadline throws DeadlineExceeded") {
-    val g = GraphGen.erdosRenyi(14, 0.55, 11)
+    val g = TestGraphs.erdosRenyi(14, 0.55, 11)
     for ((policy, rule) <- spawnRules(g.n)) {
       val miner = new Miner(g, 0.7, 4, _ => (), MinerConfig.quickPlus, null, System.nanoTime - 1)
       intercept[Miner.DeadlineExceeded] {
@@ -306,7 +306,7 @@ class MinerInternalsSpec extends AnyFunSuite {
     val hyves = GraphGen.hyvesLike()
     assert(assertCheckedRunMatches(hyves.graph, hyves.gamma, hyves.tauSize, "Hyves-like") > 64)
     for (seed <- 1 to 2) {
-      val g = GraphGen.erdosRenyi(150, 0.1, seed)
+      val g = TestGraphs.erdosRenyi(150, 0.1, seed)
       assert(assertCheckedRunMatches(g, 0.75, 5, s"ER(150, 0.1, $seed)") > 128)
     }
   }
@@ -324,13 +324,69 @@ class MinerInternalsSpec extends AnyFunSuite {
     }
   }
 
+  // The search tree of each preset as a fingerprint: its candidates (count
+  // and an order-sensitive hash) and its derived children, summed over the
+  // ego tasks. A prune that fires less, more or elsewhere changes them even
+  // where the maximal sets stay the same; DESIGN.md's mutation table names
+  // the prune mutants only this test kills. A deliberate change to the
+  // search updates these values.
+  private val searchFingerprints = Map(
+    ("GSE1730-like", "quickPlus") -> (86, 352314652, 2392L),
+    ("GSE1730-like", "quickPlusPaper") -> (92, 1546064501, 3324L),
+    ("GSE1730-like", "quick") -> (97, -788311273, 3986L),
+    ("GSE10158-like", "quickPlus") -> (53, -1113246038, 9642L),
+    ("GSE10158-like", "quickPlusPaper") -> (53, -1113246038, 22320L),
+    ("GSE10158-like", "quick") -> (61, -1994936460, 28770L),
+    ("CaGrQc-like", "quickPlus") -> (131, 1182059810, 3L),
+    ("CaGrQc-like", "quickPlusPaper") -> (131, 1182059810, 1854L),
+    ("CaGrQc-like", "quick") -> (146, -241567603, 27821L),
+    ("Enron-like", "quickPlus") -> (154, -1473007511, 9533L),
+    ("Enron-like", "quickPlusPaper") -> (155, 622503202, 41034L),
+    ("Enron-like", "quick") -> (110, -1316686646, 147356L),
+    ("Hyves-like", "quickPlus") -> (30, 1085934956, 28132L),
+    ("Hyves-like", "quickPlusPaper") -> (30, 1085934956, 97617L),
+    ("Hyves-like", "quick") -> (23, -121752519, 624955L),
+    // Quick's one critical vertex per pass shows in its search tree only on
+    // denser inputs like this one
+    ("ER(24, 0.5) gamma=0.5 tau=6", "quick") -> (12415, -746248732, 177735L))
+
+  test("each preset's candidates and derived children match their fingerprints") {
+    val presets = Seq("quickPlus" -> MinerConfig.quickPlus, "quickPlusPaper" -> MinerConfig.quickPlusPaper,
+      "quick" -> MinerConfig.quick)
+    val inputs = (for (d <- Seq(GraphGen.gse1730Like(), GraphGen.gse10158Like(), GraphGen.caGrQcLike(),
+                               GraphGen.enronLike(), GraphGen.hyvesLike()); (name, config) <- presets)
+      yield (d.name, name, d.graph, d.gamma, d.tauSize, config)) :+
+      (("ER(24, 0.5) gamma=0.5 tau=6", "quick", TestGraphs.erdosRenyi(24, 0.5, 314211), 0.5, 6, MinerConfig.quick))
+    for ((label, name, g, gamma, tau, config) <- inputs) {
+      val (candidates, _, derived) = perTaskMine(g, gamma, tau, config, checked = false)
+      // Arrays.hashCode of the candidates in emission order, each ended by -1
+      val orderHash = java.util.Arrays.hashCode(candidates.flatMap(_ :+ -1).toArray)
+      assert((candidates.size, orderHash, derived) == searchFingerprints((label, name)), s"$label $name")
+    }
+  }
+
   // ---------------------------------------------------- iterativeBounding
+
+  // A false return is a fixpoint with |S| + |ext| >= τ_size: a smaller state
+  // is pruned before any rule runs, even one that no rule would prune (a
+  // clique at γ = 1), and is left as it was.
+  test("iterativeBounding prunes a state smaller than tau_size at once") {
+    val clique = TestGraphs.erdosRenyi(8, 1.1, 0)
+    for (tau <- 4 to 8; extLen <- 0 to tau - 3) {
+      val s = ArrayBuffer(0, 1); val ext = ArrayBuffer.range(2, 2 + extLen)
+      assert(newMiner(clique, 1.0, tau).iterativeBounding(s, ext), s"tau=$tau |ext|=$extLen")
+      assert(s == ArrayBuffer(0, 1) && ext == ArrayBuffer.range(2, 2 + extLen), s"tau=$tau |ext|=$extLen")
+    }
+    // at |S| + |ext| = τ_size the clique is a fixpoint and survives
+    val s = ArrayBuffer(0, 1); val ext = ArrayBuffer.range(2, 6)
+    assert(!newMiner(clique, 1.0, 6).iterativeBounding(s, ext))
+  }
 
   // Both Quick+ presets: the default adds rule B to the Type-I pass's first
   // rules (those that read d_S alone).
   for (seed <- 1 to 8) test(s"iterativeBounding never prunes away a reachable valid quasi-clique (seed=$seed)") {
     val rnd = new Random(seed)
-    val g = GraphGen.erdosRenyi(12, 0.65, seed * 23)
+    val g = TestGraphs.erdosRenyi(12, 0.65, seed * 23)
     val gamma = 0.7; val tau = 3
     val perm = rnd.shuffle((0 until g.n).toList)
     val s0 = perm.take(2).toArray.sorted

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, GraphOps, LocalGraph}
+import repro.graph.{LocalGraph, TestGraphs}
 
 class QuasiCliqueSpec extends AnyFunSuite {
 
@@ -23,18 +23,37 @@ class QuasiCliqueSpec extends AnyFunSuite {
     }
   }
 
+  // Lemma (i) of DESIGN.md: a member of S with d_S + d_ext <= ⌈γ|S|⌉ − 1
+  // gives U_S^min = ⌊d/γ⌋ + 1 − |S| <= 0, so Bounds prunes the extensions.
+  // In real arithmetic the −1e-9 of ceilGamma and the +1e-9 of floorDiv
+  // cannot both tip the result (that needs γ > 1); their rounding is checked
+  // here for every m a miner can ask about (its task graph has < 2^21
+  // vertices) at γ = 0.50, 0.51, …, 1.00. floorDiv is monotone in d, so the
+  // largest d, ⌈γm⌉ − 1, is the one to check.
+  test("floorDiv(ceilGamma(γ, m) − 1, γ) <= m − 1 for every m < 2^21") {
+    for (hundredths <- 50 to 100) {
+      val gamma = hundredths / 100.0
+      var m = 1
+      while (m < (1 << 21)) {
+        val c = QuasiClique.ceilGamma(gamma, m)
+        if (c >= 1 && QuasiClique.floorDiv(c - 1, gamma) > m - 1) fail(s"gamma=$gamma m=$m")
+        m += 1
+      }
+    }
+  }
+
   test("isQuasiClique: degree threshold boundary") {
     // 5 vertices; gamma=0.5 needs ceil(0.5*4)=2 neighbors each
     val ok = LocalGraph.fromPairs(5, Seq(0 -> 1, 1 -> 2, 2 -> 3, 3 -> 4, 4 -> 0))
-    assert(QuasiClique.isQuasiClique(ok, Array(0, 1, 2, 3, 4), 0.5))
-    assert(!QuasiClique.isQuasiClique(ok, Array(0, 1, 2, 3, 4), 0.6)) // needs 3
+    assert(BruteForce.isQuasiClique(ok, Array(0, 1, 2, 3, 4), 0.5))
+    assert(!BruteForce.isQuasiClique(ok, Array(0, 1, 2, 3, 4), 0.6)) // needs 3
   }
 
   test("isQuasiClique: disconnected set is rejected even if degrees pass") {
     // two disjoint triangles: every degree is 2 >= ceil(0.4*5)=2 but disconnected
     val g = LocalGraph.fromPairs(6, Seq(0 -> 1, 1 -> 2, 2 -> 0, 3 -> 4, 4 -> 5, 5 -> 3))
-    assert(!QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3, 4, 5), 0.4))
-    assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2), 1.0))
+    assert(!BruteForce.isQuasiClique(g, Array(0, 1, 2, 3, 4, 5), 0.4))
+    assert(BruteForce.isQuasiClique(g, Array(0, 1, 2), 1.0))
   }
 
   // Miner.qBitsValid tests degrees only and relies on this lemma for
@@ -42,14 +61,14 @@ class QuasiCliqueSpec extends AnyFunSuite {
   test("the degree test implies connectivity for gamma >= 0.5, and not below") {
     var passed = 0
     for (p <- Seq(0.3, 0.5, 0.7); seed <- 1 to 5) {
-      val g = GraphGen.erdosRenyi(12, p, seed)
+      val g = TestGraphs.erdosRenyi(12, p, seed)
       val nbrs = Array.tabulate(g.n)(v => g.adj(v).foldLeft(0)((bits, u) => bits | 1 << u))
       for (gamma <- Seq(0.5, 0.6, 0.75, 1.0); q <- 1 until 1 << g.n) {
         val vs = (0 until g.n).filter(v => (q >>> v & 1) == 1).toArray
         val need = QuasiClique.ceilGamma(gamma, vs.length - 1)
         if (vs.forall(v => Integer.bitCount(nbrs(v) & q) >= need)) {
           if (vs.length >= 3) passed += 1
-          assert(GraphOps.connectedInduced(g, vs), s"p=$p seed=$seed gamma=$gamma Q=${vs.toSeq}")
+          assert(BruteForce.connectedInduced(g, vs), s"p=$p seed=$seed gamma=$gamma Q=${vs.toSeq}")
         }
       }
     }
@@ -58,7 +77,7 @@ class QuasiCliqueSpec extends AnyFunSuite {
     val g = LocalGraph.fromPairs(6, Seq(0 -> 1, 1 -> 2, 2 -> 0, 3 -> 4, 4 -> 5, 5 -> 3))
     val all = Array(0, 1, 2, 3, 4, 5)
     assert(all.forall(g.degree(_) >= QuasiClique.ceilGamma(0.4, all.length - 1)))
-    assert(!GraphOps.connectedInduced(g, all))
+    assert(!BruteForce.connectedInduced(g, all))
   }
 
   // Rules A and B of the miner (DESIGN.md) rest on these two bounds, checked
@@ -68,12 +87,12 @@ class QuasiCliqueSpec extends AnyFunSuite {
     val checkedPairs = Array.fill(gammas.length)(0)
     var tight = 0
     for (p <- Seq(0.5, 0.7, 0.85); seed <- 1 to 4) {
-      val g = GraphGen.erdosRenyi(12, p, seed)
+      val g = TestGraphs.erdosRenyi(12, p, seed)
       val nbrs = Array.tabulate(g.n)(v => g.adj(v).foldLeft(0)((bits, u) => bits | 1 << u))
       for ((gamma, gi) <- gammas.zipWithIndex; q <- 1 until 1 << g.n) {
         val vs = (0 until g.n).filter(v => (q >>> v & 1) == 1).toArray
         val m = vs.length
-        if (QuasiClique.isQuasiClique(g, vs, gamma)) {
+        if (BruteForce.isQuasiClique(g, vs, gamma)) {
           // rule B: each member has at most B(M) = M − 1 − ⌈γ(M − 1)⌉
           // non-neighbours in Q for every M >= m (B does not decrease)
           for (v <- vs; bigM <- m to g.n) {
@@ -114,20 +133,20 @@ class QuasiCliqueSpec extends AnyFunSuite {
 
   test("single vertex is a quasi-clique; empty set is not") {
     val g = LocalGraph.empty(3)
-    assert(QuasiClique.isQuasiClique(g, Array(1), 0.9))
-    assert(!QuasiClique.isQuasiClique(g, Array.emptyIntArray, 0.9))
+    assert(BruteForce.isQuasiClique(g, Array(1), 0.9))
+    assert(!BruteForce.isQuasiClique(g, Array.emptyIntArray, 0.9))
   }
 
   test("a clique is a gamma-quasi-clique for every gamma") {
-    val g = GraphGen.erdosRenyi(6, 1.1, 0)
+    val g = TestGraphs.erdosRenyi(6, 1.1, 0)
     for (gamma <- Seq(0.5, 0.7, 0.9, 1.0))
-      assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3, 4, 5), gamma))
+      assert(BruteForce.isQuasiClique(g, Array(0, 1, 2, 3, 4, 5), gamma))
   }
 
   test("paper example: S1 and S2 of Figure 1 are 0.6-quasi-cliques") {
-    val g = GraphGen.figure1
-    assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3), 0.6))
-    assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3, 4), 0.6))
+    val g = TestGraphs.figure1
+    assert(BruteForce.isQuasiClique(g, Array(0, 1, 2, 3), 0.6))
+    assert(BruteForce.isQuasiClique(g, Array(0, 1, 2, 3, 4), 0.6))
   }
 
   test("canon sorts without mutating the input") {

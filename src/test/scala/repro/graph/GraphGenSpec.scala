@@ -49,6 +49,31 @@ class GraphGenSpec extends AnyFunSuite {
     assert(actual == fingerprints)
   }
 
+  /** Σ|E| and the hash of the edge-list hashes of a family of test graphs,
+    * taken when `erdosRenyi` still lived in `GraphGen`: the specs' inputs
+    * stay byte-identical after its move to `TestGraphs`.
+    */
+  private def familyFingerprint(gs: Seq[LocalGraph]): (Long, Int) =
+    (gs.map(_.numEdges).sum, java.util.Arrays.hashCode(gs.map(g => java.util.Arrays.hashCode(g.packedEdges)).toArray))
+
+  test("the specs' Erdős–Rényi inputs match their fingerprints") {
+    val literals = Seq((6, 1.1, 0L), (7, 1.1, 0L), (7, 0.0, 0L), (12, 0.6, 5L), (14, 0.55, 11L), (15, 0.3, 21L),
+      (18, 0.3, 8L), (20, 0.3, 1L), (20, 0.3, 4L), (20, 0.4, 3L), (20, 0.4, 7L), (24, 0.95, 2L), (25, 0.3, 42L),
+      (28, 0.35, 9L), (30, 0.05, 1L), (30, 0.3, 5L), (36, 0.35, 9L), (38, 0.3, 1L), (40, 0.15, 9L), (40, 0.3, 7L),
+      (40, 0.30, 11L), (40, 0.30, 12L), (40, 0.35, 9L), (50, 0.4, 3L), (60, 0.15, 77L), (150, 0.1, 1L),
+      (150, 0.1, 2L), (200, 0.3, 4L))
+    // MinerCorrectnessSpec's grid, and MinerInternalsSpec's sparse multi-word graphs
+    val grid = for (n <- Seq(8, 10, 12); p <- Seq(0.3, 0.5, 0.7); seed <- Seq(1, 2)) yield (n, p, seed * 1000L + n)
+    val sparse = for (n <- Seq(20, 63, 64, 65, 130); seed <- 1 to 6) yield (n, 3.0 / n, seed * 7L + (if (n == 20) 0 else n))
+    def er(t: (Int, Double, Long)) = TestGraphs.erdosRenyi(t._1, t._2, t._3)
+    assert(familyFingerprint(literals.map(er)) == ((11601L, 592386110)))
+    assert(familyFingerprint(grid.map(er)) == ((421L, 1118938176)))
+    assert(familyFingerprint(sparse.map(er)) == ((2957L, -1591531284)))
+    // the planted graphs draw their backgrounds from erdosRenyi
+    assert(familyFingerprint((1 to 20).map(s => NearThreshold.graph(s))) == ((1114L, 1028283012)))
+    assert(familyFingerprint((1 to 12).map(s => NearThreshold.overlapping(s))) == ((500L, 1807491083)))
+  }
+
   test("k-core pruning shrinks every dataset dramatically (Table 3b effect)") {
     for (d <- GraphGen.all()) {
       val (core, _) = GraphOps.kCoreSubgraph(d.graph, d.k)
@@ -87,9 +112,9 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("erdosRenyi(p=1.1) is complete; p=0 is empty") {
-    val c = GraphGen.erdosRenyi(7, 1.1, 0)
+    val c = TestGraphs.erdosRenyi(7, 1.1, 0)
     assert(c.numEdges == 21)
-    val e = GraphGen.erdosRenyi(7, 0.0, 0)
+    val e = TestGraphs.erdosRenyi(7, 0.0, 0)
     assert(e.numEdges == 0)
   }
 
@@ -101,7 +126,7 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("figure 1 graph matches the paper's stated facts") {
-    val g = GraphGen.figure1
+    val g = TestGraphs.figure1
     // N(v_d) = {a, c, e, h, i}, d(v_d) = 5
     assert(g.adj(3).toSet == Set(0, 2, 4, 7, 8))
     assert(g.degree(3) == 5)

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.BruteForce
 import scala.util.Random
 
 class GraphOpsSpec extends AnyFunSuite {
@@ -18,7 +19,7 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   for (seed <- 1 to 5; k <- Seq(1, 2, 3, 5)) test(s"kCoreMask matches naive peeling (seed=$seed k=$k)") {
-    val g = GraphGen.erdosRenyi(30, 0.2, seed)
+    val g = TestGraphs.erdosRenyi(30, 0.2, seed)
     val mask = GraphOps.kCoreMask(g, k)
     assert((0 until g.n).filter(mask).toSet == naiveKCore(g, k))
   }
@@ -41,7 +42,7 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   test("kCoreMask matches naive peeling on a dense Erdős–Rényi graph") {
-    val g = GraphGen.erdosRenyi(200, 0.3, 4)
+    val g = TestGraphs.erdosRenyi(200, 0.3, 4)
     for (k <- Seq(40, 50, 55, 60, 65, 70))
       assert((0 until g.n).filter(GraphOps.kCoreMask(g, k)).toSet == naiveKCore(g, k), s"k=$k")
   }
@@ -56,7 +57,7 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   test("kCoreSubgraph induces exactly the surviving vertices") {
-    val g = GraphGen.erdosRenyi(40, 0.15, 9)
+    val g = TestGraphs.erdosRenyi(40, 0.15, 9)
     val (core, ids) = GraphOps.kCoreSubgraph(g, 3)
     assert(ids.toSet == naiveKCore(g, 3))
     for (v <- 0 until core.n) assert(core.adj(v).forall(u => g.hasEdge(ids(v), ids(u))))
@@ -65,14 +66,14 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   for (seed <- 1 to 5) test(s"degeneracy is the largest k with a non-empty naive k-core (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(35, 0.25, seed)
+    val g = TestGraphs.erdosRenyi(35, 0.25, seed)
     val d = GraphOps.degeneracy(g)
     assert(naiveKCore(g, d).nonEmpty)
     assert(naiveKCore(g, d + 1).isEmpty)
   }
 
   test("degeneracy of a clique is n-1, of a tree is 1, of a cycle is 2") {
-    val clique = GraphGen.erdosRenyi(6, 1.1, 0) // p>1 => complete
+    val clique = TestGraphs.erdosRenyi(6, 1.1, 0) // p>1 => complete
     assert(GraphOps.degeneracy(clique) == 5)
     val path = LocalGraph.fromPairs(5, Seq(0 -> 1, 1 -> 2, 2 -> 3, 3 -> 4))
     assert(GraphOps.degeneracy(path) == 1)
@@ -81,7 +82,7 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   test("induced recodes correctly and preserves edges") {
-    val g = GraphGen.erdosRenyi(20, 0.4, 3)
+    val g = TestGraphs.erdosRenyi(20, 0.4, 3)
     val vs = Array(2, 5, 7, 11, 13)
     val (sub, ids) = GraphOps.induced(g, vs)
     assert(ids.toSeq == vs.toSeq)
@@ -97,22 +98,22 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   for (seed <- 1 to 4) test(s"twoHopAbove matches BFS definition (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(25, 0.15, seed * 5)
+    val g = TestGraphs.erdosRenyi(25, 0.15, seed * 5)
     for (v <- 0 until g.n by 3; minDeg <- Seq(0, 2))
       assert(GraphOps.twoHopAbove(g, v, v, minDeg).toSet == naiveTwoHop(g, v, minDeg), s"v=$v minDeg=$minDeg")
   }
 
   test("connectedInduced: positive and negative cases") {
     val g = LocalGraph.fromPairs(6, Seq(0 -> 1, 1 -> 2, 3 -> 4))
-    assert(GraphOps.connectedInduced(g, Array(0, 1, 2)))
-    assert(!GraphOps.connectedInduced(g, Array(0, 1, 3)))
-    assert(GraphOps.connectedInduced(g, Array(3, 4)))
-    assert(GraphOps.connectedInduced(g, Array(5)))
-    assert(!GraphOps.connectedInduced(g, Array(0, 2))) // 0-2 not adjacent within {0,2}
+    assert(BruteForce.connectedInduced(g, Array(0, 1, 2)))
+    assert(!BruteForce.connectedInduced(g, Array(0, 1, 3)))
+    assert(BruteForce.connectedInduced(g, Array(3, 4)))
+    assert(BruteForce.connectedInduced(g, Array(5)))
+    assert(!BruteForce.connectedInduced(g, Array(0, 2))) // 0-2 not adjacent within {0,2}
   }
 
   test("recodeByCover: vmax becomes 0, its neighbors take the largest ids, graph is isomorphic") {
-    val g = GraphGen.erdosRenyi(15, 0.3, 21)
+    val g = TestGraphs.erdosRenyi(15, 0.3, 21)
     val (r, ids) = GraphOps.recodeByCover(g)
     val vmax = (0 until g.n).maxBy(g.degree)
     assert(g.degree(ids(0)) == g.degree(vmax))
@@ -128,7 +129,7 @@ class GraphOpsSpec extends AnyFunSuite {
   }
 
   test("features: computed values agree with direct computation") {
-    val g = GraphGen.erdosRenyi(18, 0.3, 8)
+    val g = TestGraphs.erdosRenyi(18, 0.3, 8)
     val f = GraphOps.features(g)
     assert(f.nV == g.n && f.nE == g.numEdges && f.maxDeg == g.maxDegree)
     assert(math.abs(f.avgDeg - g.avgDegree) < 1e-12)

@@ -22,12 +22,12 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("symmetry: u in adj(v) iff v in adj(u)") {
-    val g = GraphGen.erdosRenyi(25, 0.3, 42)
+    val g = TestGraphs.erdosRenyi(25, 0.3, 42)
     for (v <- 0 until g.n; u <- g.adj(v)) assert(g.hasEdge(u, v) && g.hasEdge(v, u))
   }
 
   test("packedEdges round-trips through fromEdges") {
-    val g = GraphGen.erdosRenyi(20, 0.4, 7)
+    val g = TestGraphs.erdosRenyi(20, 0.4, 7)
     val g2 = LocalGraph.fromEdges(20, g.packedEdges)
     (0 until 20).foreach(v => assert(g.adj(v).toSeq == g2.adj(v).toSeq))
   }

@@ -13,7 +13,7 @@ object NearThreshold {
 
   def graph(seed: Long): LocalGraph = {
     val rnd = new Random(seed)
-    val background = GraphGen.erdosRenyi(n, 0.12 + 0.10 * rnd.nextDouble(), rnd.nextLong())
+    val background = TestGraphs.erdosRenyi(n, 0.12 + 0.10 * rnd.nextDouble(), rnd.nextLong())
     val perm = new scala.util.Random(rnd).shuffle(Vector.range(0, n)).toArray
     val a       = 6 + rnd.nextInt(4) // 6..9 vertices per block,
     val b       = 6 + rnd.nextInt(4)
@@ -30,7 +30,7 @@ object NearThreshold {
   def overlapping(seed: Long): LocalGraph = {
     val rnd = new scala.util.Random(seed)
     LocalGraph.fromEdges(n,
-      GraphGen.erdosRenyi(n, 0.08 + 0.10 * rnd.nextDouble(), rnd.nextLong()).packedEdges ++
+      TestGraphs.erdosRenyi(n, 0.08 + 0.10 * rnd.nextDouble(), rnd.nextLong()).packedEdges ++
         GraphGen.overlappingCliques(n, 2 + rnd.nextInt(3), 4, 8, rnd.nextLong()))
   }
 }

@@ -8,7 +8,7 @@ import repro.SparkSpec
 import repro.SpecHelpers.canonSet
 import repro.baselines.GThinkerApps
 import repro.core.{QuickPlus, BruteForce, TaskSpawn}
-import repro.graph.{GraphGen, GraphOps, LocalGraph, NearThreshold}
+import repro.graph.{GraphOps, LocalGraph, NearThreshold, TestGraphs}
 import repro.predict.TaskFeatures
 
 /** The engine must produce exactly the serial Quick+ maximal result set, for
@@ -28,7 +28,7 @@ class EngineSpec extends SparkSpec {
     par <- Seq(1, 4)
   } test(s"engine == serial Quick+ [$label, prioritize=true, p=$par]") {
     for (seed <- Seq(11, 12)) {
-      val g = GraphGen.erdosRenyi(40, 0.30, seed)
+      val g = TestGraphs.erdosRenyi(40, 0.30, seed)
       val truth = serialTruth(g, 0.7, 5)
       val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode, EngineConfig(parallelism = par, tauSplit = tauSplit))
       assert(canonSet(res.maximal) == truth,
@@ -37,7 +37,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("engine matches brute force on a tiny graph") {
-    val g = GraphGen.erdosRenyi(12, 0.6, 5)
+    val g = TestGraphs.erdosRenyi(12, 0.6, 5)
     val truth = canonSet(BruteForce.allMaximal(g, 0.75, 4))
     for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0))) {
       val res = Engine.run(spark.sparkContext, g, 0.75, 4, mode, EngineConfig(parallelism = 2, tauSplit = 3))
@@ -71,7 +71,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("A_split and A_time actually decompose tasks (subtasks spawned)") {
-    val g = GraphGen.erdosRenyi(50, 0.4, 3)
+    val g = TestGraphs.erdosRenyi(50, 0.4, 3)
     val split = Engine.run(spark.sparkContext, g, 0.6, 5, ASplit, EngineConfig(2, tauSplit = 5))
     assert(split.subtasksSpawned > 0, "A_split with tiny tau_split must decompose")
     assert(split.rounds > 1)
@@ -80,14 +80,14 @@ class EngineSpec extends SparkSpec {
   }
 
   test("A_base never decomposes and finishes in one round") {
-    val g = GraphGen.erdosRenyi(40, 0.3, 7)
+    val g = TestGraphs.erdosRenyi(40, 0.3, 7)
     val res = Engine.run(spark.sparkContext, g, 0.7, 5, ABase, EngineConfig(4))
     assert(res.subtasksSpawned == 0)
     assert(res.rounds == 1)
   }
 
   test("metrics are sane: mining time positive, tasks processed >= spawned vertices surviving") {
-    val g = GraphGen.erdosRenyi(40, 0.35, 9)
+    val g = TestGraphs.erdosRenyi(40, 0.35, 9)
     val res = Engine.run(spark.sparkContext, g, 0.7, 5, ATime(1.0), EngineConfig(4))
     assert(res.tasksProcessed > 0)
     assert(res.miningMillis >= 0.0)
@@ -96,7 +96,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("Tables 1-2 ego task times: one record per A_base task, with its features") {
-    val (g, gamma, tau) = (GraphGen.erdosRenyi(40, 0.35, 9), 0.7, 5)
+    val (g, gamma, tau) = (TestGraphs.erdosRenyi(40, 0.35, 9), 0.7, 5)
     val times = TaskFeatures.egoTaskTimes(g, gamma, tau)
     val mg = TaskSpawn.prelude(g, gamma, tau, recode = true)
     val tasks = (0 until mg.spawnUpper).flatMap(TaskSpawn.egoTask(mg.graph, _, mg.k))
@@ -110,13 +110,13 @@ class EngineSpec extends SparkSpec {
   }
 
   test("empty after k-core: engine returns no results quickly") {
-    val g = GraphGen.erdosRenyi(30, 0.05, 1) // sparse: 5-core empty
+    val g = TestGraphs.erdosRenyi(30, 0.05, 1) // sparse: 5-core empty
     val res = Engine.run(spark.sparkContext, g, 0.9, 8, ABase, EngineConfig(2))
     assert(res.maximal.isEmpty)
   }
 
   test("tasks processed minus subtasks spawned under A_time(0) equals A_base's tasks processed") {
-    val g = GraphGen.erdosRenyi(50, 0.4, 3)
+    val g = TestGraphs.erdosRenyi(50, 0.4, 3)
     val base = Engine.run(spark.sparkContext, g, 0.6, 5, ABase, EngineConfig(2))
     val time = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2))
     assert(time.subtasksSpawned > 0)
@@ -126,7 +126,7 @@ class EngineSpec extends SparkSpec {
   test("redesigned engine keeps subtrees that finish within a round's cost local") {
     // ER(36, 0.35, 9): hundreds of subtasks, the longest task a few ms, far
     // below any measured O, even in a JVM's first, not yet compiled runs
-    val g = GraphGen.erdosRenyi(36, 0.35, 9)
+    val g = TestGraphs.erdosRenyi(36, 0.35, 9)
     val truth = serialTruth(g, 0.7, 5)
     val base = Engine.run(spark.sparkContext, g, 0.7, 5, ABase, EngineConfig(2))
     // tau_split above every |ext|: every subtask is small and stays local
@@ -147,7 +147,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("redesigned engine spills only subtasks with |ext| >= tau_split") {
-    val g = GraphGen.erdosRenyi(50, 0.4, 3)
+    val g = TestGraphs.erdosRenyi(50, 0.4, 3)
     val truth = serialTruth(g, 0.6, 5)
     val base = Engine.run(spark.sparkContext, g, 0.6, 5, ABase, EngineConfig(2))
     // tau_split = 2: once a subtree has run for O, its big subtasks go back
@@ -178,17 +178,17 @@ class EngineSpec extends SparkSpec {
 
   test("Engine.run starts rounds + 1 Spark jobs, runFromTasks rounds, a G-thinker app 1") {
     val sc = spark.sparkContext
-    val (base, baseJobs) = withJobCount(Engine.run(sc, GraphGen.erdosRenyi(40, 0.3, 7), 0.7, 5, ABase, EngineConfig(4)))
+    val (base, baseJobs) = withJobCount(Engine.run(sc, TestGraphs.erdosRenyi(40, 0.3, 7), 0.7, 5, ABase, EngineConfig(4)))
     assert(base.rounds == 1)
     assert(baseJobs == base.rounds + 1)
     // subtrees of ER(50, 0.4, 3) outlast O, so A_time(0) takes several rounds
     val (time, timeJobs) = withJobCount(
-      Engine.run(sc, GraphGen.erdosRenyi(50, 0.4, 3), 0.6, 5, ATime(0.0), EngineConfig(2, tauSplit = 2)))
+      Engine.run(sc, TestGraphs.erdosRenyi(50, 0.4, 3), 0.6, 5, ATime(0.0), EngineConfig(2, tauSplit = 2)))
     assert(time.rounds > 1)
     assert(timeJobs == time.rounds + 1)
     // one task per vertex v, ext = the vertices above v; O = 0, so every big
     // subtask spills and there are several rounds
-    val g = GraphGen.erdosRenyi(40, 0.35, 9)
+    val g = TestGraphs.erdosRenyi(40, 0.35, 9)
     val tasks = Array.tabulate(g.n)(v => QCTask(v, Array(v), (v + 1 until g.n).toArray))
     val (kernel, kernelJobs) = withJobCount(
       Engine.runFromTasks(sc, g, Array.range(0, g.n), tasks, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = 2)))
@@ -225,7 +225,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("bad parameters are rejected up front") {
-    val g = GraphGen.erdosRenyi(20, 0.3, 1)
+    val g = TestGraphs.erdosRenyi(20, 0.3, 1)
     intercept[IllegalArgumentException](EngineConfig(parallelism = 0))
     intercept[IllegalArgumentException](EngineConfig(parallelism = 2, tauSplit = -1))
     intercept[IllegalArgumentException](ATime(-1.0))

@@ -2,8 +2,8 @@ package repro.kernel
 
 import repro.SparkSpec
 import repro.SpecHelpers.canonSet
-import repro.core.{BruteForce, QuasiClique}
-import repro.graph.{GraphGen, LocalGraph}
+import repro.core.BruteForce
+import repro.graph.{LocalGraph, TestGraphs}
 import repro.gthinker.{ASplit, EngineConfig}
 
 class KernelExpandSpec extends SparkSpec {
@@ -24,7 +24,7 @@ class KernelExpandSpec extends SparkSpec {
     val out = KernelExpand.topKSerial(g, gammaP = 0.9, kPrime = 3, gamma = 0.8, k = 5, tauSize = 4)
     assert(out.topK.nonEmpty)
     out.topK.foreach { s =>
-      assert(QuasiClique.isQuasiClique(g, s, 0.8))
+      assert(BruteForce.isQuasiClique(g, s, 0.8))
       assert(truth.contains(s.toVector), s"${s.toVector} not truly maximal")
     }
   }
@@ -40,7 +40,7 @@ class KernelExpandSpec extends SparkSpec {
   }
 
   test("candidatePool is the intersection of 2-hop balls minus S") {
-    val g = GraphGen.erdosRenyi(20, 0.3, 4)
+    val g = TestGraphs.erdosRenyi(20, 0.3, 4)
     val s = Array(0, 1)
     val pool = KernelExpand.candidatePool(g, s).toSet
     def ball(v: Int): Set[Int] =
