@@ -16,10 +16,13 @@ final case class MiningGraph(k: Int, graph: LocalGraph, ids: Array[Int], spawnUp
 object TaskSpawn {
 
   /** k-core prune `g` for (γ, τ_size) (P2/T1), then optionally recode ids
-    * for the degenerate cover rule (P7/T6).
+    * for the degenerate cover rule (P7/T6). Rejects a γ outside [0.5, 1] and
+    * τ_size < 2: the search examines only sets that strictly extend a task's
+    * root, so it could not return a one-vertex result.
     */
   def prelude(g: LocalGraph, gamma: Double, tauSize: Int, recode: Boolean): MiningGraph = {
-    require(tauSize >= 1, s"tauSize must be at least 1, got $tauSize")
+    require(tauSize >= 2, s"tauSize must be at least 2, got $tauSize: at tauSize 1 an isolated vertex " +
+      "is a maximal result, but a task examines only sets that strictly extend its root")
     require(gamma >= 0.5 && gamma <= 1.0, s"gamma must be in [0.5, 1], got $gamma")
     val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
     val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)

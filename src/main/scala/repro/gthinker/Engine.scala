@@ -53,6 +53,12 @@ final case class EngineConfig(
   require(tauSplit >= 0, s"tauSplit must be non-negative, got $tauSplit")
 }
 
+/** One engine job's outcome. `maximal` holds the maximal sets in original
+  * ids, size descending, then lexicographic. `numCandidates` (Table 5's
+  * #results) counts every set the miners emitted, before any maximality
+  * filter; it is counted on the executors (`Totals.candidates`), since a
+  * round ships only its partitions' maximal candidates.
+  */
 final case class EngineResult(
     maximal: Seq[Array[Int]],
     numCandidates: Long,
@@ -72,11 +78,15 @@ final case class EngineResult(
 
 /** One partition's metric totals for one Spark job. It travels in the
   * collected `Emit` stream, so a retried Spark task is counted once.
+  * `candidates` counts the sets the partition's miners emitted, before the
+  * partition keeps only its maximal ones.
   */
 private final case class Totals(mineNs: Long = 0L, matNs: Long = 0L, tasks: Long = 0L,
-                                spawned: Long = 0L, spilled: Long = 0L, maxTaskNs: Long = 0L) {
+                                spawned: Long = 0L, spilled: Long = 0L, maxTaskNs: Long = 0L,
+                                candidates: Long = 0L) {
   def +(o: Totals): Totals = Totals(mineNs + o.mineNs, matNs + o.matNs, tasks + o.tasks,
-    spawned + o.spawned, spilled + o.spilled, math.max(maxTaskNs, o.maxTaskNs))
+    spawned + o.spawned, spilled + o.spilled, math.max(maxTaskNs, o.maxTaskNs),
+    candidates + o.candidates)
 }
 
 private sealed trait Emit extends Serializable
@@ -105,8 +115,13 @@ private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
 }
 
 /** A round's partition body: materialize and mine the partition's placed
-  * tasks and the subtasks they spawn (local-first, LIFO), emitting results,
-  * spilled subtasks and the partition's totals. A placed
+  * tasks and the subtasks they spawn (local-first, LIFO), emitting spilled
+  * subtasks, the partition's maximal candidates and its totals. The
+  * candidates are kept in global task ids, each sorted, and only those
+  * that no other candidate of the partition contains are emitted
+  * (`Maximality.filterMaximal`): a set contained in another valid one is
+  * maximal nowhere, so the driver's final filter returns the same sets.
+  * `Totals.candidates` counts them all, before the filter. A placed
   * task and its local subtasks, its subtree, are mined back to back, because
   * the next placed task is taken only once the LIFO is empty. A subtask
   * spills when it is big (|ext| ≥ `tauSplit`) and its subtree has run for
@@ -119,6 +134,7 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
   def apply(ctx: TaskContext, it: Iterator[QCTask]): Array[Emit] = {
     val graph = bc.value
     val out = ArrayBuffer.empty[Emit]
+    val found = ArrayBuffer.empty[Array[Int]]
     val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
     var tot = Totals()
     var subtree0 = 0L // when the placed task of the current subtree started
@@ -135,7 +151,7 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       var spawned, spilled = 0L
       val t1 = System.nanoTime
       val sink = (arr: Array[Int]) => {
-        out += EmitResult(arr.map(oldIds)); ()
+        found += QuasiClique.canon(arr.map(oldIds)); ()
       }
       val spawnChild = (s: Array[Int], e: Array[Int]) => {
         spawned += 1
@@ -151,7 +167,8 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       val dt = System.nanoTime - t1
       tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
     }
-    out += EmitTotals(tot)
+    Maximality.filterMaximal(found.toSeq).foreach(vs => out += EmitResult(vs))
+    out += EmitTotals(tot.copy(candidates = found.length))
     out.toArray
   }
 }
@@ -172,6 +189,8 @@ private final class Unbucket[T] extends (ArrayBuffer[T] => ArrayBuffer[T]) with 
   * O never pays for a round. Big tasks go first: the engine places a round's
   * tasks in 2p slices that idle cores pull, so a worker that draws a
   * straggler does not also keep a full p-th of the rest (see `place`).
+  * Each partition of a round ships only the candidates that no other
+  * candidate of the partition contains (`RoundBody`), and counts them all.
   *
   * Rule: no lambda, `collect` or `fold` in an engine job. Every job hands
   * Spark only instances of named serializable classes (`SpawnBody`,
@@ -244,6 +263,8 @@ object Engine {
   /** Broadcast `gm`, take the initial emission and the round cost O (ns)
     * from `initial`, run rounds until no task is left, and map the results
     * back through `ids`.
+    * The rounds ship only each partition's maximal candidates, so the
+    * driver holds no more than those; it filters them once more.
     */
   private def execute(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
                       gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig,
@@ -283,7 +304,7 @@ object Engine {
     val wall2 = System.nanoTime
 
     EngineResult(
-      maximal, results.length.toLong, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
+      maximal, totals.candidates, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
       rounds, totals.tasks, totals.spawned, totals.spilled,
       totals.mineNs / 1e6, totals.matNs / 1e6, totals.maxTaskNs / 1e6,
       peakHeap, roundCostNs / 1e6)

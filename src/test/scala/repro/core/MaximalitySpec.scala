@@ -43,6 +43,23 @@ class MaximalitySpec extends AnyFunSuite {
     assert(out == naive(fam).toSeq.sorted(bySizeThenLex))
   }
 
+  // The engine filters each partition's candidates before the driver
+  // filters their union: a set contained in another of its part is
+  // contained in another of the whole, so the answer and its order stay.
+  for (seed <- 1 to 10) test(s"filtering parts, then their union, equals filtering the whole, in order (seed=$seed)") {
+    val rnd = new Random(seed)
+    val pool = Array.fill(40)(rnd.nextInt(100000)).distinct // sparse ids
+    val base = Seq.fill(100)(Array.fill(1 + rnd.nextInt(12))(pool(rnd.nextInt(pool.length))).distinct.sorted)
+    // subsets and copies of some sets, so that sets get dominated and deduplicated
+    val all = rnd.shuffle(base ++ base.take(30).map(a => a.filter(_ => rnd.nextBoolean())).filter(_.nonEmpty) ++
+      base.take(20).map(_.clone))
+    val k = 1 + rnd.nextInt(12)
+    val parts = all.groupBy(_ => rnd.nextInt(k)).values.toSeq
+    val whole = Maximality.filterMaximal(all).map(_.toVector)
+    assert(whole.size < base.size)
+    assert(Maximality.filterMaximal(parts.flatMap(Maximality.filterMaximal)).map(_.toVector) == whole, s"k=$k")
+  }
+
   test("duplicates collapse to one") {
     val fam = Seq(Array(1, 2, 3), Array(1, 2, 3), Array(1, 2))
     val out = Maximality.filterMaximal(fam)

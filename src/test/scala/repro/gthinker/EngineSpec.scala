@@ -236,6 +236,34 @@ class EngineSpec extends SparkSpec {
       intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.7, 3, capMillis = cap))
   }
 
+  test("tauSize 1 is rejected up front: an isolated vertex would be missed") {
+    // a triangle, an edge and the isolated vertex 3, a one-vertex maximal
+    // result at tauSize 1 that no task examines
+    val g = LocalGraph.fromPairs(6, Seq(0 -> 1, 1 -> 2, 0 -> 2, 4 -> 5))
+    assert(canonSet(BruteForce.allMaximal(g, 0.5, 1)).contains(Vector(3)))
+    for (e <- Seq(intercept[IllegalArgumentException](QuickPlus.mineSerial(g, 0.5, 1)),
+                  intercept[IllegalArgumentException](Engine.run(spark.sparkContext, g, 0.5, 1, ABase, EngineConfig(2)))))
+      assert(e.getMessage.contains("at least 2") && e.getMessage.contains("isolated vertex"), e.getMessage)
+    assert(canonSet(QuickPlus.mineSerial(g, 0.5, 2).maximal) == canonSet(BruteForce.allMaximal(g, 0.5, 2)))
+  }
+
+  test("under A_base the engine emits exactly mineSerial's candidates, counted before its filters") {
+    // same ego tasks, same miner: the count is the miners' emissions, not
+    // what the partitions' maximality filters let through
+    val inputs = Seq((TestGraphs.erdosRenyi(40, 0.30, 11), 0.7, 5), (TestGraphs.erdosRenyi(50, 0.4, 3), 0.6, 5)) ++
+      (1 to 6).map(seed => (NearThreshold.graph(seed), Seq(0.6, 0.7, 0.75, 0.8, 0.9)(seed % 5), 4 + seed % 3))
+    val filtered = for ((g, gamma, tau) <- inputs) yield {
+      val serial = QuickPlus.mineSerial(g, gamma, tau)
+      for (par <- Seq(1, 4)) {
+        val res = Engine.run(spark.sparkContext, g, gamma, tau, ABase, EngineConfig(par))
+        assert(res.numCandidates == serial.numResults, s"gamma=$gamma tau=$tau p=$par")
+        assert(canonSet(res.maximal) == canonSet(serial.maximal))
+      }
+      serial.numResults > serial.numMaximal
+    }
+    assert(filtered.contains(true), "no input has a non-maximal candidate: the count would show nothing")
+  }
+
   test("gamma outside [0.5, 1] is rejected even when no miner is ever built") {
     // the k-core of an edgeless graph is empty, so no task reaches a Miner
     val g = LocalGraph.empty(5)
