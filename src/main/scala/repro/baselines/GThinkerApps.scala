@@ -8,17 +8,19 @@ import repro.gthinker.Engine
 /** The three G-thinker applications of Table 4 — triangle counting (TC),
   * maximum clique finding (MCF) and subgraph matching (GM, here: counting
   * 4-cliques) — implemented as per-vertex compute tasks over a broadcast
-  * graph, with the old-engine (hash placement, FIFO) vs redesigned-engine
-  * (big-task-first, round-robin into 2p pulled slices) scheduling knob,
-  * mirroring the G-thinker vs G-thinker+ columns.
+  * graph, with the old-engine (owner placement, FIFO, kept here as its
+  * only user) vs redesigned-engine (`Engine.place`: big-task-first, 2p
+  * pulled slices) scheduling knob, mirroring the G-thinker vs G-thinker+
+  * columns.
   */
 object GThinkerApps {
 
-  /** Place per-vertex tasks on p workers with the engine's placement. Big =
-    * high degree; the owner of a vertex task is the vertex.
+  /** Place per-vertex tasks on p workers: G-thinker+ by `Engine.place`, big =
+    * high degree; G-thinker in p static slices, slice i the v ≡ i (mod p), ascending.
     */
-  private def placedVertices(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean) =
-    Engine.place(sc, 0 until g.n, p, prioritizeBig, bigFrom = 0)(g.degree, v => v)
+  private[baselines] def placedVertices(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean) =
+    if (prioritizeBig) Engine.place(sc, 0 until g.n, p, bigFrom = 0)(g.degree)
+    else Engine.fromBuckets(sc, (0 until p).map(i => i until g.n by p))
 
   /** One Spark job: the app's partition body (a named class, as in every
     * engine job; see `Engine`) runs on the placed vertex tasks, and the

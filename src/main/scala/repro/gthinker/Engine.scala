@@ -13,7 +13,7 @@ import scala.reflect.ClassTag
   * materialized from the broadcast graph when the task is executed, and that
   * materialization time is metered separately (Tables 12–14).
   */
-final case class QCTask(root: Int, s: Array[Int], ext: Array[Int])
+final case class QCTask(s: Array[Int], ext: Array[Int])
 
 /** The three algorithm variants of Section 8. Each one decides, for a
   * child that survives bounding, whether the single set-enumeration search
@@ -106,7 +106,7 @@ private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
     val out = ArrayBuffer.empty[Emit]
     it.foreach { v =>
       TaskSpawn.egoTask(graph, v, k).foreach { case (_, coreIds) =>
-        out += EmitTask(QCTask(v, Array(v), coreIds.drop(1)))
+        out += EmitTask(QCTask(Array(v), coreIds.drop(1)))
       }
     }
     out += EmitTotals(Totals(matNs = System.nanoTime - busy0))
@@ -155,7 +155,7 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       }
       val spawnChild = (s: Array[Int], e: Array[Int]) => {
         spawned += 1
-        val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
+        val child = QCTask(s.map(oldIds), e.map(oldIds))
         if (Engine.spills(e.length, tauSplit, System.nanoTime - subtree0, roundCostNs)) {
           spilled += 1; out += EmitTask(child)
         } else local += child
@@ -173,9 +173,9 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
   }
 }
 
-/** `Engine.place`'s flatMap body: a bucket's items, in order. */
-private final class Unbucket[T] extends (ArrayBuffer[T] => ArrayBuffer[T]) with Serializable {
-  def apply(bucket: ArrayBuffer[T]): ArrayBuffer[T] = bucket
+/** `Engine.fromBuckets`' flatMap body: a bucket's items, in order. */
+private final class Unbucket[T] extends (Iterable[T] => Iterable[T]) with Serializable {
+  def apply(bucket: Iterable[T]): Iterable[T] = bucket
 }
 
 /** The redesigned G-thinker execution engine on Spark.
@@ -188,7 +188,8 @@ private final class Unbucket[T] extends (ArrayBuffer[T] => ArrayBuffer[T]) with 
   * next round (see `spills` and `roundCost`). A subtree that finishes within
   * O never pays for a round. Big tasks go first: the engine places a round's
   * tasks in 2p slices that idle cores pull, so a worker that draws a
-  * straggler does not also keep a full p-th of the rest (see `place`).
+  * straggler does not also keep a full p-th of the rest (see `place`; the
+  * original engine's owner placement lives with its only user, `GThinkerApps`).
   * Each partition of a round ships only the candidates that no other
   * candidate of the partition contains (`RoundBody`), and counts them all.
   *
@@ -292,7 +293,7 @@ object Engine {
     var tasks  = absorb(emitted0)
     while (tasks.nonEmpty) {
       rounds += 1
-      val placed = place(sc, tasks, conf.parallelism, prioritizeBig = true, bigFrom = conf.tauSplit)(_.ext.length, _.root)
+      val placed = place(sc, tasks, conf.parallelism, conf.tauSplit)(_.ext.length)
       tasks = absorb(emits(placed, new RoundBody(bc, gamma, tauSize, mode, conf.tauSplit, roundCostNs)))
     }
     bc.destroy()
@@ -310,21 +311,15 @@ object Engine {
       peakHeap, roundCostNs / 1e6)
   }
 
-  /** Deal `items` into `slices` buckets. With `prioritizeBig` (the
-    * redesigned engine: global queue + stealing), items with size >=
-    * `bigFrom` come first, largest first, then the rest in arrival order,
-    * dealt round-robin, so the first buckets start with the biggest items.
-    * Otherwise (the original engine, kept for Table 4's G-thinker column)
-    * each item stays with the worker that owns it, FIFO — no
-    * prioritization, no stealing.
+  /** Deal `items` into `slices` buckets, round-robin: items with size >=
+    * `bigFrom` first, largest first, then the rest in arrival order, so the
+    * first buckets start with the biggest items (the redesigned engine's
+    * global queue of big tasks).
     */
-  private[gthinker] def buckets[T](items: Seq[T], slices: Int, prioritizeBig: Boolean, bigFrom: Int)
-                (size: T => Int, owner: T => Int): Array[ArrayBuffer[T]] = {
+  private[gthinker] def buckets[T](items: Seq[T], slices: Int, bigFrom: Int)(size: T => Int): Array[ArrayBuffer[T]] = {
     val out = Array.fill(slices)(ArrayBuffer.empty[T])
-    if (prioritizeBig) {
-      val (big, small) = items.partition(size(_) >= bigFrom)
-      (big.sortBy(-size(_)) ++ small).zipWithIndex.foreach { case (x, i) => out(i % slices) += x }
-    } else items.foreach(x => out(owner(x) % slices) += x)
+    val (big, small) = items.partition(size(_) >= bigFrom)
+    (big.sortBy(-size(_)) ++ small).zipWithIndex.foreach { case (x, i) => out(i % slices) += x }
     out
   }
 
@@ -334,23 +329,22 @@ object Engine {
     */
   private val PulledSlicesPerWorker = 2
 
-  /** `buckets` as an RDD whose partition i holds bucket i, without a
-    * shuffle: one bucket per slice of `parallelize`. Owner placement
-    * (`prioritizeBig` = false), used only by Table 4's G-thinker column
-    * (`GThinkerApps`), gets p static slices. The redesigned engine, which
-    * runs every quasi-clique round, gets 2p slices that idle
-    * cores pull: Spark starts slices 0 … p−1, which begin with the p
-    * biggest items, and hands each later slice to whichever core frees
-    * first (Spark's form of stealing from the global queue). That needs a
-    * cluster that runs at most p tasks at once (`defaultParallelism` ≤ p):
-    * on a larger one, 2p slices would run on 2p cores, so the redesigned
-    * engine keeps p slices there and p still bounds the workers.
+  /** `buckets` as an RDD for p workers, in 2p slices that idle cores pull:
+    * Spark starts slices 0 … p−1, which begin with the p biggest items, and
+    * hands each later slice to whichever core frees first (Spark's form of
+    * stealing from the global queue). That needs a cluster that runs at
+    * most p tasks at once (`defaultParallelism` ≤ p): on a larger one, 2p
+    * slices would run on 2p cores, so `place` keeps p slices there and p
+    * still bounds the workers.
     */
-  def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, prioritizeBig: Boolean, bigFrom: Int)
-                        (size: T => Int, owner: T => Int): RDD[T] = {
-    val slices = if (prioritizeBig && sc.defaultParallelism <= p) PulledSlicesPerWorker * p else p
-    sc.parallelize(buckets(items, slices, prioritizeBig, bigFrom)(size, owner).toSeq, slices).flatMap(new Unbucket[T])
+  def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, bigFrom: Int)(size: T => Int): RDD[T] = {
+    val slices = if (sc.defaultParallelism <= p) PulledSlicesPerWorker * p else p
+    fromBuckets(sc, buckets(items, slices, bigFrom)(size).toSeq)
   }
+
+  /** An RDD whose partition i holds bucket i, in order: one bucket per slice of `parallelize`, no shuffle. */
+  def fromBuckets[T: ClassTag](sc: SparkContext, buckets: Seq[Iterable[T]]): RDD[T] =
+    sc.parallelize(buckets, buckets.length).flatMap(new Unbucket[T])
 
   /** One Spark job: `body` runs on every partition of `rdd`, and the driver
     * concatenates what the partitions emitted, in partition order.

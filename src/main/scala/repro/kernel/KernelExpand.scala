@@ -59,12 +59,12 @@ object KernelExpand {
     val mg = TaskSpawn.prelude(g, gamma, tauSize, recode = false)
     val toCore = Array.fill(g.n)(-1)
     mg.ids.indices.foreach(i => toCore(mg.ids(i)) = i)
-    val tasks = kernels.zipWithIndex.flatMap { case (kernel, i) =>
+    val tasks = kernels.flatMap { kernel =>
       val s = kernel.map(toCore)
       if (s.exists(_ < 0)) None
       else {
         val ext = candidatePool(mg.graph, s)
-        if (ext.nonEmpty || s.length >= tauSize) Some(QCTask(i, s, ext)) else None
+        if (ext.nonEmpty || s.length >= tauSize) Some(QCTask(s, ext)) else None
       }
     }
     (mg, tasks.toArray)
@@ -101,7 +101,7 @@ object KernelExpand {
     val t0 = System.nanoTime
     val (MiningGraph(_, gK, idsK, _), tasks) = kernelTasks(g, kernels, gamma, tauSize)
     val out = ArrayBuffer.empty[Array[Int]]
-    for (QCTask(_, s, ext) <- tasks) {
+    for (QCTask(s, ext) <- tasks) {
       val (sub, oldIds) = GraphOps.induced(gK, s ++ ext)
       val miner = new Miner(sub, gamma, tauSize,
         arr => { out += QuasiClique.canon(arr.map(x => idsK(oldIds(x)))); () })

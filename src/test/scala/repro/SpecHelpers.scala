@@ -1,8 +1,10 @@
 package repro
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import repro.graph.LocalGraph
 
-/** Helpers shared by the specs that compare answers across miners. */
+/** Helpers shared by the specs. */
 object SpecHelpers {
 
   /** A miner's result sets as a set of vertex vectors, for order-free equality. */
@@ -12,4 +14,8 @@ object SpecHelpers {
   def relabel(g: LocalGraph, perm: Array[Int]): LocalGraph =
     LocalGraph.fromEdges(g.n, g.packedEdges.map(e =>
       LocalGraph.pack(perm(LocalGraph.unpackU(e)), perm(LocalGraph.unpackV(e)))))
+
+  /** Whether computing `r` runs a shuffle anywhere in its lineage. */
+  def hasShuffle(r: RDD[_]): Boolean =
+    r.dependencies.exists(d => d.isInstanceOf[ShuffleDependency[_, _, _]] || hasShuffle(d.rdd))
 }

@@ -1,7 +1,9 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
+import repro.SpecHelpers.hasShuffle
 import repro.core.BruteForce
 import repro.graph.TestGraphs
 
@@ -41,6 +43,24 @@ class AppsSpec extends SparkSpec {
         case Right(r)  => assert(r.value == truth)
         case Left(err) => fail(s"unexpected overflow: $err")
       }
+    }
+  }
+
+  test("Table 4 placements: G-thinker deals v to worker v mod p, G-thinker+ deals the highest degrees first") {
+    val g = TestGraphs.erdosRenyi(23, 0.3, 4) // n = 23, a multiple of no p below
+    val cores = sc.defaultParallelism
+    def partitions(rdd: RDD[Int]): Seq[Seq[Int]] = rdd.glom().collect().toSeq.map(_.toSeq)
+    for (p <- Seq(1, 3, 4)) {
+      val owner = GThinkerApps.placedVertices(sc, g, p, prioritizeBig = false)
+      assert(partitions(owner) == (0 until p).map(i => (i until g.n by p)), s"p=$p")
+      assert(!hasShuffle(owner), s"p=$p")
+      val big = GThinkerApps.placedVertices(sc, g, p, prioritizeBig = true)
+      // 2p pulled slices unless more than p cores would then run them at once
+      assert(big.getNumPartitions == (if (cores <= p) 2 * p else p), s"p=$p")
+      val slices = partitions(big)
+      assert(slices.flatten.sorted == (0 until g.n), s"p=$p")
+      assert(slices.take(p).map(s => g.degree(s.head)) == (0 until g.n).map(g.degree).sorted.reverse.take(p), s"p=$p")
+      assert(!hasShuffle(big), s"p=$p")
     }
   }
 

@@ -1,11 +1,10 @@
 package repro.gthinker
 
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.{ListenerBusSync, ShuffleDependency}
-import org.apache.spark.rdd.RDD
+import org.apache.spark.ListenerBusSync
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
-import repro.SpecHelpers.canonSet
+import repro.SpecHelpers.{canonSet, hasShuffle}
 import repro.baselines.GThinkerApps
 import repro.core.{QuickPlus, BruteForce, TaskSpawn}
 import repro.graph.{GraphOps, LocalGraph, NearThreshold, TestGraphs}
@@ -189,7 +188,7 @@ class EngineSpec extends SparkSpec {
     // one task per vertex v, ext = the vertices above v; O = 0, so every big
     // subtask spills and there are several rounds
     val g = TestGraphs.erdosRenyi(40, 0.35, 9)
-    val tasks = Array.tabulate(g.n)(v => QCTask(v, Array(v), (v + 1 until g.n).toArray))
+    val tasks = Array.tabulate(g.n)(v => QCTask(Array(v), (v + 1 until g.n).toArray))
     val (kernel, kernelJobs) = withJobCount(
       Engine.runFromTasks(sc, g, Array.range(0, g.n), tasks, 0.7, 5, ATime(0.0), EngineConfig(2, tauSplit = 2)))
     assert(kernel.rounds > 1)
@@ -274,28 +273,23 @@ class EngineSpec extends SparkSpec {
   }
 
   test("placement puts bucket i in partition i without a shuffle") {
-    // roots 0..4, |ext| 0..8: some tasks are big (|ext| >= 5), some small
-    val tasks = (0 until 23).map(i => QCTask(i * 7 % 5, Array(i), Array.fill(i % 9)(0)))
-    def hasShuffle(r: RDD[_]): Boolean =
-      r.dependencies.exists(d => d.isInstanceOf[ShuffleDependency[_, _, _]] || hasShuffle(d.rdd))
+    // |ext| 0..8: some tasks are big (|ext| >= 5), some small
+    val tasks = (0 until 23).map(i => QCTask(Array(i), Array.fill(i % 9)(0)))
     val cores = spark.sparkContext.defaultParallelism
-    for (p <- Seq(4, 1); prioritize <- Seq(true, false)) {
-      val rdd = Engine.place(spark.sparkContext, tasks, p, prioritize, bigFrom = 5)(_.ext.length, _.root)
-      // the redesigned engine deals 2p slices for idle cores to pull, unless
-      // more than p cores would then run them at once; owner placement
-      // (Table 4's G-thinker column) deals p
-      val slices = if (prioritize && cores <= p) 2 * p else p
-      val buckets = Engine.buckets(tasks, slices, prioritize, bigFrom = 5)(_.ext.length, _.root)
+    for (p <- Seq(4, 1)) {
+      val rdd = Engine.place(spark.sparkContext, tasks, p, bigFrom = 5)(_.ext.length)
+      // 2p slices for idle cores to pull, unless more than p cores would
+      // then run them at once
+      val slices = if (cores <= p) 2 * p else p
+      val buckets = Engine.buckets(tasks, slices, bigFrom = 5)(_.ext.length)
       val got = rdd.mapPartitionsWithIndex((i, it) => it.map(t => (i, t.s(0)))).collect()
-      assert(rdd.getNumPartitions == slices, s"p=$p prioritize=$prioritize")
+      assert(rdd.getNumPartitions == slices, s"p=$p")
       for (i <- 0 until slices)
-        assert(got.filter(_._1 == i).map(_._2).toSeq == buckets(i).map(_.s(0)).toSeq, s"p=$p prioritize=$prioritize bucket $i")
-      assert(!hasShuffle(rdd), s"p=$p prioritize=$prioritize")
-      if (prioritize) {
-        assert(buckets(0).head.ext.length == tasks.map(_.ext.length).max)
-        // slices 0 … p−1, launched first, start with the p largest tasks, largest first
-        assert((0 until p).map(buckets(_).head.ext.length) == tasks.map(_.ext.length).sorted.reverse.take(p))
-      } else buckets.zipWithIndex.foreach { case (b, i) => assert(b.forall(_.root % p == i)) }
+        assert(got.filter(_._1 == i).map(_._2).toSeq == buckets(i).map(_.s(0)).toSeq, s"p=$p bucket $i")
+      assert(!hasShuffle(rdd), s"p=$p")
+      assert(buckets(0).head.ext.length == tasks.map(_.ext.length).max)
+      // slices 0 … p−1, launched first, start with the p largest tasks, largest first
+      assert((0 until p).map(buckets(_).head.ext.length) == tasks.map(_.ext.length).sorted.reverse.take(p))
     }
   }
 }

@@ -86,7 +86,7 @@ class RetrySpec extends SparkSpec {
     // is 0, so every subtask with |ext| >= 2 spills and the rounds, spawns
     // and spills do not depend on timing
     val g = TestGraphs.erdosRenyi(60, 0.35, 9)
-    val tasks = Array.tabulate(g.n)(v => QCTask(v, Array(v), (v + 1 until g.n).toArray))
+    val tasks = Array.tabulate(g.n)(v => QCTask(Array(v), (v + 1 until g.n).toArray))
     def run() = Engine.runFromTasks(spark.sparkContext, g, Array.range(0, g.n), tasks, 0.7, 5, ASplit,
       EngineConfig(2, tauSplit = 2))
     val clean = run()

@@ -62,8 +62,8 @@ class KernelExpandSpec extends SparkSpec {
     val g = twoRegions
     val ks = KernelExpand.kernels(g, 1.0, 2, 4) // the 7-clique, then the 6-clique
     // gamma = 0.9, tau = 7: the 6-core keeps the 7-clique and peels the 6-clique
-    val (_, tasks) = KernelExpand.kernelTasks(g, ks, 0.9, 7)
-    assert(tasks.map(_.root).toSeq == Seq(0))
+    val (mg, tasks) = KernelExpand.kernelTasks(g, ks, 0.9, 7)
+    assert(tasks.map(_.s.map(mg.ids).sorted.toVector).toSeq == Seq(ks(0).sorted.toVector))
     val serial = KernelExpand.expandSerial(g, ks, 0.9, 7, k = 10)
     val eng = KernelExpand.expandOnEngine(spark.sparkContext, g, ks, 0.9, 7,
       ASplit, EngineConfig(2, tauSplit = 4), k = 10)
