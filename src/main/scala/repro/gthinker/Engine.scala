@@ -77,7 +77,7 @@ final case class EngineResult(
 }
 
 /** One partition's metric totals for one Spark job. It travels in the
-  * collected `Emit` stream, so a retried Spark task is counted once.
+  * partition's `PartOut`, so a retried Spark task is counted once.
   * `candidates` counts the sets the partition's miners emitted, before the
   * partition keeps only its maximal ones.
   */
@@ -89,51 +89,52 @@ private final case class Totals(mineNs: Long = 0L, matNs: Long = 0L, tasks: Long
     candidates + o.candidates)
 }
 
-private sealed trait Emit extends Serializable
-private final case class EmitResult(vs: Array[Int]) extends Emit
-private final case class EmitTask(t: QCTask) extends Emit
-private final case class EmitTotals(t: Totals) extends Emit
+/** The one record a partition of an engine job returns: its results, the
+  * tasks it gives back for the next round and its metric totals.
+  */
+private final case class PartOut(results: Array[Array[Int]], tasks: Array[QCTask], totals: Totals)
 
 /** The spawn job's partition body (round 0, Algorithms 4, 6, 7): one ego
-  * task per vertex of the partition's slice of [0, spawnUpper), then the
-  * partition's totals, whose `matNs` is its whole busy time.
+  * task per vertex of the partition's slice of [0, spawnUpper), in a
+  * `PartOut` with no results, whose totals' `matNs` is the partition's
+  * whole busy time.
   */
 private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
-    extends ((TaskContext, Iterator[Int]) => Array[Emit]) with Serializable {
-  def apply(ctx: TaskContext, it: Iterator[Int]): Array[Emit] = {
+    extends ((TaskContext, Iterator[Int]) => PartOut) with Serializable {
+  def apply(ctx: TaskContext, it: Iterator[Int]): PartOut = {
     val busy0 = System.nanoTime
     val graph = bc.value
-    val out = ArrayBuffer.empty[Emit]
+    val tasks = ArrayBuffer.empty[QCTask]
     it.foreach { v =>
       TaskSpawn.egoTask(graph, v, k).foreach { case (_, coreIds) =>
-        out += EmitTask(QCTask(Array(v), coreIds.drop(1)))
+        tasks += QCTask(Array(v), coreIds.drop(1))
       }
     }
-    out += EmitTotals(Totals(matNs = System.nanoTime - busy0))
-    out.toArray
+    PartOut(Array.empty, tasks.toArray, Totals(matNs = System.nanoTime - busy0))
   }
 }
 
 /** A round's partition body: materialize and mine the partition's placed
-  * tasks and the subtasks they spawn (local-first, LIFO), emitting spilled
-  * subtasks, the partition's maximal candidates and its totals. The
-  * candidates are kept in global task ids, each sorted, and only those
-  * that no other candidate of the partition contains are emitted
-  * (`Maximality.filterMaximal`): a set contained in another valid one is
-  * maximal nowhere, so the driver's final filter returns the same sets.
-  * `Totals.candidates` counts them all, before the filter. A placed
-  * task and its local subtasks, its subtree, are mined back to back, because
-  * the next placed task is taken only once the LIFO is empty. A subtask
+  * tasks and the subtasks they spawn (local-first, LIFO), and return a
+  * `PartOut` of the partition's maximal candidates, its spilled subtasks
+  * and its totals. The candidates are kept in global task ids, each
+  * sorted, and only those that no other candidate of the partition
+  * contains are shipped (`Maximality.filterMaximal`): a set contained in
+  * another valid one is maximal nowhere, so the driver's final filter
+  * returns the same sets. `Totals.candidates` counts them all, before the
+  * filter. A placed task and its local subtasks, its subtree, are mined
+  * back to back, because the next placed task is taken only once the LIFO
+  * is empty. A subtask
   * spills when it is big (|ext| ≥ `tauSplit`) and its subtree has run for
   * `roundCostNs` since the placed task's materialization began
   * (`Engine.spills`); every other subtask goes on the LIFO.
   */
 private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize: Int,
                               mode: Mode, tauSplit: Int, roundCostNs: Long)
-    extends ((TaskContext, Iterator[QCTask]) => Array[Emit]) with Serializable {
-  def apply(ctx: TaskContext, it: Iterator[QCTask]): Array[Emit] = {
+    extends ((TaskContext, Iterator[QCTask]) => PartOut) with Serializable {
+  def apply(ctx: TaskContext, it: Iterator[QCTask]): PartOut = {
     val graph = bc.value
-    val out = ArrayBuffer.empty[Emit]
+    val spilledOut = ArrayBuffer.empty[QCTask]
     val found = ArrayBuffer.empty[Array[Int]]
     val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
     var tot = Totals()
@@ -143,10 +144,7 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       val t = if (isPlaced) it.next() else local.remove(local.length - 1)
       val m0 = System.nanoTime
       if (isPlaced) subtree0 = m0
-      val verts = new Array[Int](t.s.length + t.ext.length)
-      System.arraycopy(t.s, 0, verts, 0, t.s.length)
-      System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
-      val (sub, oldIds) = GraphOps.induced(graph, verts)
+      val (sub, oldIds) = GraphOps.induced(graph, t.s ++ t.ext)
       val matNs = System.nanoTime - m0
       var spawned, spilled = 0L
       val t1 = System.nanoTime
@@ -157,19 +155,18 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
         spawned += 1
         val child = QCTask(s.map(oldIds), e.map(oldIds))
         if (Engine.spills(e.length, tauSplit, System.nanoTime - subtree0, roundCostNs)) {
-          spilled += 1; out += EmitTask(child)
+          spilled += 1; spilledOut += child
         } else local += child
         ()
       }
       new Miner(sub, gamma, tauSize, sink).mine(
-        ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until verts.length),
+        ArrayBuffer.from(0 until t.s.length), ArrayBuffer.from(t.s.length until oldIds.length),
         mode.spawnRule(t.ext.length, tauSplit, t1), spawnChild)
       val dt = System.nanoTime - t1
       tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
     }
-    Maximality.filterMaximal(found.toSeq).foreach(vs => out += EmitResult(vs))
-    out += EmitTotals(tot.copy(candidates = found.length))
-    out.toArray
+    PartOut(Maximality.filterMaximal(found.toSeq).toArray, spilledOut.toArray,
+      tot.copy(candidates = found.length))
   }
 }
 
@@ -219,9 +216,8 @@ object Engine {
     execute(sc, mg.graph, mg.ids, gamma, tauSize, mode, conf, wall0) { bc =>
       // round 0, one Spark job: spawn per-vertex ego tasks (Algorithms 4, 6, 7)
       val job0 = System.nanoTime
-      val emitted = emits(sc.parallelize(0 until mg.spawnUpper, conf.parallelism), new SpawnBody(bc, mg.k))
-      val busy = emitted.collect { case EmitTotals(t) => t.matNs }
-      (emitted, roundCost(System.nanoTime - job0, busy.toSeq, math.min(conf.parallelism, sc.defaultParallelism)))
+      val parts = sc.runJob(sc.parallelize(0 until mg.spawnUpper, conf.parallelism), new SpawnBody(bc, mg.k))
+      (parts, roundCost(System.nanoTime - job0, parts.map(_.totals.matNs).toSeq, math.min(conf.parallelism, sc.defaultParallelism)))
     }
   }
 
@@ -234,7 +230,8 @@ object Engine {
   def runFromTasks(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
                    tasks0: Array[QCTask], gamma: Double, tauSize: Int,
                    mode: Mode, conf: EngineConfig): EngineResult =
-    execute(sc, gm, ids, gamma, tauSize, mode, conf, System.nanoTime)(_ => (tasks0.map(EmitTask), 0L))
+    execute(sc, gm, ids, gamma, tauSize, mode, conf, System.nanoTime)(_ =>
+      (Array(PartOut(Array.empty, tasks0, Totals())), 0L))
 
   /** The cost O of one more round, in ns, measured on the spawn job: the
     * driver's wall time for the job (`jobNanos`, from building its RDD to
@@ -261,40 +258,41 @@ object Engine {
   private[gthinker] def spills(extSize: Int, tauSplit: Int, subtreeNanos: Long, roundCostNanos: Long): Boolean =
     extSize >= tauSplit && subtreeNanos >= roundCostNanos
 
-  /** Broadcast `gm`, take the initial emission and the round cost O (ns)
+  /** Broadcast `gm`, take the initial `PartOut`s and the round cost O (ns)
     * from `initial`, run rounds until no task is left, and map the results
-    * back through `ids`.
-    * The rounds ship only each partition's maximal candidates, so the
-    * driver holds no more than those; it filters them once more.
+    * back through `ids`. Each round's partitions return one `PartOut`
+    * each, which the driver absorbs in partition order. The rounds ship
+    * only each partition's maximal candidates, so the driver holds no more
+    * than those; it filters them once more.
     */
   private def execute(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
                       gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig,
-                      wall0: Long)(initial: Broadcast[LocalGraph] => (Array[Emit], Long)): EngineResult = {
+                      wall0: Long)(initial: Broadcast[LocalGraph] => (Array[PartOut], Long)): EngineResult = {
     if (gm.n == 0)
       return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, 0, usedHeapMB(), 0.0)
     val bc = sc.broadcast(gm)
     val results = ArrayBuffer.empty[Array[Int]]
     var totals  = Totals()
     var peakHeap = usedHeapMB()
-    // keep what a job emitted and return the tasks for the next round
-    def absorb(emitted: Array[Emit]): Seq[QCTask] = {
+    // keep a job's partition records, in partition order, and return the tasks for the next round
+    def absorb(parts: Array[PartOut]): Seq[QCTask] = {
       val next = ArrayBuffer.empty[QCTask]
-      emitted.foreach {
-        case EmitResult(vs) => results += vs
-        case EmitTask(t)    => next += t
-        case EmitTotals(t)  => totals += t
+      parts.foreach { p =>
+        results ++= p.results
+        next ++= p.tasks
+        totals += p.totals
       }
       peakHeap = math.max(peakHeap, usedHeapMB())
       next.toSeq
     }
 
-    val (emitted0, roundCostNs) = initial(bc)
+    val (parts0, roundCostNs) = initial(bc)
     var rounds = 0
-    var tasks  = absorb(emitted0)
+    var tasks  = absorb(parts0)
     while (tasks.nonEmpty) {
       rounds += 1
       val placed = place(sc, tasks, conf.parallelism, conf.tauSplit)(_.ext.length)
-      tasks = absorb(emits(placed, new RoundBody(bc, gamma, tauSize, mode, conf.tauSplit, roundCostNs)))
+      tasks = absorb(sc.runJob(placed, new RoundBody(bc, gamma, tauSize, mode, conf.tauSplit, roundCostNs)))
     }
     bc.destroy()
 
@@ -345,12 +343,6 @@ object Engine {
   /** An RDD whose partition i holds bucket i, in order: one bucket per slice of `parallelize`, no shuffle. */
   def fromBuckets[T: ClassTag](sc: SparkContext, buckets: Seq[Iterable[T]]): RDD[T] =
     sc.parallelize(buckets, buckets.length).flatMap(new Unbucket[T])
-
-  /** One Spark job: `body` runs on every partition of `rdd`, and the driver
-    * concatenates what the partitions emitted, in partition order.
-    */
-  private def emits[T](rdd: RDD[T], body: (TaskContext, Iterator[T]) => Array[Emit]): Array[Emit] =
-    Array.concat(rdd.sparkContext.runJob(rdd, body).toSeq: _*)
 
   private def usedHeapMB(): Long = {
     val rt = Runtime.getRuntime

@@ -28,10 +28,13 @@ class EngineSpec extends SparkSpec {
   } test(s"engine == serial Quick+ [$label, prioritize=true, p=$par]") {
     for (seed <- Seq(11, 12)) {
       val g = TestGraphs.erdosRenyi(40, 0.30, seed)
-      val truth = serialTruth(g, 0.7, 5)
+      val serial = QuickPlus.mineSerial(g, 0.7, 5).maximal
+      val truth = canonSet(serial)
       val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode, EngineConfig(parallelism = par, tauSplit = tauSplit))
       assert(canonSet(res.maximal) == truth,
         s"seed=$seed missing=${(truth -- canonSet(res.maximal)).take(3)} extra=${(canonSet(res.maximal) -- truth).take(3)}")
+      assert(res.maximal.map(_.toVector) == serial.map(_.toVector),
+        s"seed=$seed: the engine's output order differs from mineSerial's (size descending, then lexicographic)")
     }
   }
 

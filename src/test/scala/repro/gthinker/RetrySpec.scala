@@ -9,7 +9,7 @@ import scala.collection.mutable
 
 /** Spark runs a task again when an attempt of it is killed, and drops the
   * killed attempt's result. The engine's results and its metric totals
-  * travel in each job's result stream (`Emit`), so a retried task must leave
+  * travel in each partition's one `PartOut`, so a retried task must leave
   * the answer and every count exactly as an undisturbed run leaves them.
   */
 class RetrySpec extends SparkSpec {
