@@ -64,7 +64,11 @@ object GraphOps {
 
   /** Subgraph induced by `vs` (any order, no duplicates), recoded to
     * `0 until vs.length` in the order given. Returns (subgraph, oldIds)
-    * where `oldIds(newId) = old id`.
+    * where `oldIds(newId) = old id`; `oldIds` is `vs` itself, not a copy,
+    * so the caller must not change `vs` afterwards. Every caller passes a
+    * fresh array that nothing else holds (`kCoreSubgraph`, `recodeByCover`,
+    * `TaskSpawn.egoTask`, `KernelExpand.expandSerial` and the engine's
+    * round body).
     */
   def induced(g: LocalGraph, vs: Array[Int]): (LocalGraph, Array[Int]) = {
     val toNew = marks.get
@@ -84,7 +88,7 @@ object GraphOps {
       adj(i) = arr
       i += 1
     }
-    (new LocalGraph(adj), vs.clone())
+    (new LocalGraph(adj), vs)
   }
 
   /** Vertex marks reused across calls on one thread, so `induced` and

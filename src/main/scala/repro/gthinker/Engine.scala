@@ -44,7 +44,7 @@ final case class ATime(tauTimeMillis: Double) extends Mode {
 
 /** Engine knobs: p workers, and the paper's τ_split, A_split's threshold
   * and the size from which a task is big. Big subtasks are spilled as
-  * `Engine.spills` decides and placed first by `Engine.place`.
+  * `Engine.spills` decides and dealt first by `Engine.buckets`.
   */
 final case class EngineConfig(
     parallelism: Int,
@@ -114,36 +114,50 @@ private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
   }
 }
 
-/** A round's partition body: materialize and mine the partition's placed
-  * tasks and the subtasks they spawn (local-first, LIFO), and return a
-  * `PartOut` of the partition's maximal candidates, its spilled subtasks
-  * and its totals. The candidates are kept in global task ids, each
-  * sorted, and only those that no other candidate of the partition
-  * contains are shipped (`Maximality.filterMaximal`): a set contained in
-  * another valid one is maximal nowhere, so the driver's final filter
-  * returns the same sets. `Totals.candidates` counts them all, before the
-  * filter. A placed task and its local subtasks, its subtree, are mined
-  * back to back, because the next placed task is taken only once the LIFO
-  * is empty. A subtask
-  * spills when it is big (|ext| ≥ `tauSplit`) and its subtree has run for
-  * `roundCostNs` since the placed task's materialization began
-  * (`Engine.spills`); every other subtask goes on the LIFO.
+/** What mining one placed task's subtree yields: the candidates (in global
+  * task ids, each sorted), the subtasks it spilled and its totals.
+  */
+private final case class Subtree(found: ArrayBuffer[Array[Int]], spilled: ArrayBuffer[QCTask], totals: Totals)
+
+/** A round's partition body. The partition's placed bucket goes into the
+  * executor's `StealPool`: the partition mines its own placed tasks in
+  * bucket order, then steals unstarted placed tasks from the round's other
+  * running partitions in the same JVM, and returns once every task of its
+  * bucket has been mined, by it or by a thief. Each placed task is mined
+  * with its whole subtree (`mineSubtree`), by whichever partition claimed
+  * it. The `PartOut` holds the subtrees of the partition's own bucket, in
+  * bucket order: their candidates that no other of them contains (a set
+  * contained in another valid one is maximal nowhere, so the driver's final
+  * filter returns the same sets), their spilled subtasks and their totals;
+  * `Totals.candidates` counts every candidate, before the filter.
   */
 private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize: Int,
                               mode: Mode, tauSplit: Int, roundCostNs: Long)
     extends ((TaskContext, Iterator[QCTask]) => PartOut) with Serializable {
   def apply(ctx: TaskContext, it: Iterator[QCTask]): PartOut = {
     val graph = bc.value
-    val spilledOut = ArrayBuffer.empty[QCTask]
+    val subtrees = RoundBody.pool.run((ctx.stageId, ctx.stageAttemptNumber), ctx.partitionId, it.toArray)(
+      mineSubtree(graph, _))
+    val found = subtrees.flatMap(_.found)
+    PartOut(Maximality.filterMaximal(found.toSeq).toArray, subtrees.flatMap(_.spilled),
+      subtrees.foldLeft(Totals())(_ + _.totals).copy(candidates = found.length))
+  }
+
+  /** Mine `placed` and, depth-first from a local LIFO, the subtasks it
+    * spawns, until the LIFO is empty. A subtask spills when it is big
+    * (|ext| ≥ `tauSplit`) and the subtree has run for `roundCostNs` since
+    * the placed task's materialization began (`Engine.spills`); every
+    * other subtask goes on the LIFO.
+    */
+  private def mineSubtree(graph: LocalGraph, placed: QCTask): Subtree = {
     val found = ArrayBuffer.empty[Array[Int]]
-    val local = ArrayBuffer.empty[QCTask] // LIFO of this partition's own subtasks
+    val spilledOut = ArrayBuffer.empty[QCTask]
+    val local = ArrayBuffer(placed) // LIFO of the subtree's own subtasks
     var tot = Totals()
-    var subtree0 = 0L // when the placed task of the current subtree started
-    while (local.nonEmpty || it.hasNext) {
-      val isPlaced = local.isEmpty
-      val t = if (isPlaced) it.next() else local.remove(local.length - 1)
+    val subtree0 = System.nanoTime
+    while (local.nonEmpty) {
+      val t = local.remove(local.length - 1)
       val m0 = System.nanoTime
-      if (isPlaced) subtree0 = m0
       val (sub, oldIds) = GraphOps.induced(graph, t.s ++ t.ext)
       val matNs = System.nanoTime - m0
       var spawned, spilled = 0L
@@ -165,9 +179,13 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       val dt = System.nanoTime - t1
       tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
     }
-    PartOut(Maximality.filterMaximal(found.toSeq).toArray, spilledOut.toArray,
-      tot.copy(candidates = found.length))
+    Subtree(found, spilledOut, tot)
   }
+}
+
+private object RoundBody {
+  /** The executor JVM's queue of the rounds' placed tasks. */
+  val pool = new StealPool[QCTask, Subtree]
 }
 
 /** `Engine.fromBuckets`' flatMap body: a bucket's items, in order. */
@@ -181,14 +199,17 @@ private final class Unbucket[T] extends (Iterable[T] => Iterable[T]) with Serial
   * and, depth-first from a local stack, the subtasks they spawn, until both
   * are empty. Only a big subtask (|ext| ≥ τ_split) of a subtree that has
   * already run for O, the measured cost of one more round, is spilled back
-  * to the driver, which re-places the spilled tasks with `place` for the
-  * next round (see `spills` and `roundCost`). A subtree that finishes within
-  * O never pays for a round. Big tasks go first: the engine places a round's
-  * tasks in 2p slices that idle cores pull, so a worker that draws a
-  * straggler does not also keep a full p-th of the rest (see `place`; the
-  * original engine's owner placement lives with its only user, `GThinkerApps`).
-  * Each partition of a round ships only the candidates that no other
-  * candidate of the partition contains (`RoundBody`), and counts them all.
+  * to the driver, which deals the spilled tasks big-first into p buckets
+  * for the next round, one Spark task per worker (see `spills`, `roundCost`
+  * and `buckets`). A subtree that finishes within O never pays for a round.
+  * Within a round the partitions in one executor JVM share one task queue
+  * (`StealPool`, the paper's per-machine global queue): a partition whose
+  * bucket is empty steals the next unstarted placed task of another running
+  * partition and mines its whole subtree, so a worker that draws a straggler
+  * does not also keep a fixed p-th of the rest. The original engine's owner
+  * placement lives with its only user, `GThinkerApps`. Each partition of a
+  * round ships only the candidates that no other candidate of its bucket
+  * contains (`RoundBody`), and counts them all.
   *
   * Rule: no lambda, `collect` or `fold` in an engine job. Every job hands
   * Spark only instances of named serializable classes (`SpawnBody`,
@@ -291,7 +312,7 @@ object Engine {
     var tasks  = absorb(parts0)
     while (tasks.nonEmpty) {
       rounds += 1
-      val placed = place(sc, tasks, conf.parallelism, conf.tauSplit)(_.ext.length)
+      val placed = fromBuckets(sc, buckets(tasks, conf.parallelism, conf.tauSplit)(_.ext.length).toSeq)
       tasks = absorb(sc.runJob(placed, new RoundBody(bc, gamma, tauSize, mode, conf.tauSplit, roundCostNs)))
     }
     bc.destroy()
@@ -311,33 +332,17 @@ object Engine {
 
   /** Deal `items` into `slices` buckets, round-robin: items with size >=
     * `bigFrom` first, largest first, then the rest in arrival order, so the
-    * first buckets start with the biggest items (the redesigned engine's
-    * global queue of big tasks).
+    * first buckets start with the biggest items. A round deals its tasks
+    * into p buckets, one per worker, and bucket i becomes partition i
+    * (`fromBuckets`); within an executor the partitions then take each
+    * other's unstarted tasks from the front of their buckets (`StealPool`),
+    * biggest first.
     */
-  private[gthinker] def buckets[T](items: Seq[T], slices: Int, bigFrom: Int)(size: T => Int): Array[ArrayBuffer[T]] = {
+  private[repro] def buckets[T](items: Seq[T], slices: Int, bigFrom: Int)(size: T => Int): Array[ArrayBuffer[T]] = {
     val out = Array.fill(slices)(ArrayBuffer.empty[T])
     val (big, small) = items.partition(size(_) >= bigFrom)
     (big.sortBy(-size(_)) ++ small).zipWithIndex.foreach { case (x, i) => out(i % slices) += x }
     out
-  }
-
-  /** Slices per worker in the redesigned engine's placement. Two was
-    * measured on 4 vCPUs: four was no faster on `engine-results-enron`
-    * (wall −2%) and cost 7–10% more CPU there and on `engine-fine-hyves`.
-    */
-  private val PulledSlicesPerWorker = 2
-
-  /** `buckets` as an RDD for p workers, in 2p slices that idle cores pull:
-    * Spark starts slices 0 … p−1, which begin with the p biggest items, and
-    * hands each later slice to whichever core frees first (Spark's form of
-    * stealing from the global queue). That needs a cluster that runs at
-    * most p tasks at once (`defaultParallelism` ≤ p): on a larger one, 2p
-    * slices would run on 2p cores, so `place` keeps p slices there and p
-    * still bounds the workers.
-    */
-  def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, bigFrom: Int)(size: T => Int): RDD[T] = {
-    val slices = if (sc.defaultParallelism <= p) PulledSlicesPerWorker * p else p
-    fromBuckets(sc, buckets(items, slices, bigFrom)(size).toSeq)
   }
 
   /** An RDD whose partition i holds bucket i, in order: one bucket per slice of `parallelize`, no shuffle. */

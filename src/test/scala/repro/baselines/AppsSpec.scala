@@ -6,6 +6,7 @@ import repro.{Oracle, SparkSpec}
 import repro.SpecHelpers.hasShuffle
 import repro.core.BruteForce
 import repro.graph.TestGraphs
+import repro.gthinker.Engine
 
 /** The Table-4 workloads: every implementation (task engine old/new,
   * Arabesque-style embedding expansion, Catalyst joins) must agree with the
@@ -55,9 +56,12 @@ class AppsSpec extends SparkSpec {
       assert(partitions(owner) == (0 until p).map(i => (i until g.n by p)), s"p=$p")
       assert(!hasShuffle(owner), s"p=$p")
       val big = GThinkerApps.placedVertices(sc, g, p, prioritizeBig = true)
-      // 2p pulled slices unless more than p cores would then run them at once
-      assert(big.getNumPartitions == (if (cores <= p) 2 * p else p), s"p=$p")
+      // 2p pulled slices unless more than p cores would then run them at once,
+      // slice i holding bucket i of the big-first deal
+      val nSlices = if (cores <= p) 2 * p else p
+      assert(big.getNumPartitions == nSlices, s"p=$p")
       val slices = partitions(big)
+      assert(slices == Engine.buckets(0 until g.n, nSlices, bigFrom = 0)(g.degree).toSeq.map(_.toSeq), s"p=$p")
       assert(slices.flatten.sorted == (0 until g.n), s"p=$p")
       assert(slices.take(p).map(s => g.degree(s.head)) == (0 until g.n).map(g.degree).sorted.reverse.take(p), s"p=$p")
       assert(!hasShuffle(big), s"p=$p")

@@ -24,7 +24,7 @@ class EngineSpec extends SparkSpec {
     (mode, label, tauSplit) <- Seq[(Mode, String, Int)](
       (ABase, "A_base", 8), (ASplit, "A_split(8)", 8), (ASplit, "A_split(2)", 2),
       (ATime(0.0), "A_time(0ms)", 8), (ATime(50.0), "A_time(50ms)", 8))
-    par <- Seq(1, 4)
+    par <- Seq(1, 4, 16)
   } test(s"engine == serial Quick+ [$label, prioritize=true, p=$par]") {
     for (seed <- Seq(11, 12)) {
       val g = TestGraphs.erdosRenyi(40, 0.30, seed)
@@ -276,23 +276,23 @@ class EngineSpec extends SparkSpec {
   }
 
   test("placement puts bucket i in partition i without a shuffle") {
+    // a round deals its tasks into p buckets, one Spark task per worker;
     // |ext| 0..8: some tasks are big (|ext| >= 5), some small
     val tasks = (0 until 23).map(i => QCTask(Array(i), Array.fill(i % 9)(0)))
-    val cores = spark.sparkContext.defaultParallelism
-    for (p <- Seq(4, 1)) {
-      val rdd = Engine.place(spark.sparkContext, tasks, p, bigFrom = 5)(_.ext.length)
-      // 2p slices for idle cores to pull, unless more than p cores would
-      // then run them at once
-      val slices = if (cores <= p) 2 * p else p
-      val buckets = Engine.buckets(tasks, slices, bigFrom = 5)(_.ext.length)
+    for (p <- Seq(16, 4, 1)) {
+      val buckets = Engine.buckets(tasks, p, bigFrom = 5)(_.ext.length)
+      val rdd = Engine.fromBuckets(spark.sparkContext, buckets.toSeq)
       val got = rdd.mapPartitionsWithIndex((i, it) => it.map(t => (i, t.s(0)))).collect()
-      assert(rdd.getNumPartitions == slices, s"p=$p")
-      for (i <- 0 until slices)
+      assert(rdd.getNumPartitions == p, s"p=$p")
+      for (i <- 0 until p)
         assert(got.filter(_._1 == i).map(_._2).toSeq == buckets(i).map(_.s(0)).toSeq, s"p=$p bucket $i")
       assert(!hasShuffle(rdd), s"p=$p")
-      assert(buckets(0).head.ext.length == tasks.map(_.ext.length).max)
-      // slices 0 … p−1, launched first, start with the p largest tasks, largest first
-      assert((0 until p).map(buckets(_).head.ext.length) == tasks.map(_.ext.length).sorted.reverse.take(p))
+      assert(buckets.map(_.length).sum == tasks.length, s"p=$p")
+      // buckets 0 … p−1 start with the p largest big tasks, largest first;
+      // at p = 16, beyond the 8 big tasks, with the small ones in arrival order
+      val (big, small) = tasks.partition(_.ext.length >= 5)
+      assert(big.length == 8)
+      assert(buckets.map(_.head.s(0)).toSeq == (big.sortBy(-_.ext.length) ++ small).take(p).map(_.s(0)), s"p=$p")
     }
   }
 }

@@ -14,10 +14,10 @@ import scala.collection.mutable
   */
 class RetrySpec extends SparkSpec {
 
-  /** Kills the first attempt of the first task to start in each job whose
-    * index is in `targets` (0 = the first job started after the listener
-    * was added). `killedJobs` holds the jobs whose kill landed: an attempt
-    * may finish before its kill arrives, and then nothing is retried.
+  /** Kills the first attempt of partition 0 in each job whose index is in
+    * `targets` (0 = the first job started after the listener was added).
+    * `killedJobs` holds the jobs whose kill landed: an attempt may finish
+    * before its kill arrives, and then nothing is retried.
     * Listener events arrive on one thread; the lock publishes the sets.
     */
   private final class KillFirstAttempt(sc: SparkContext, targets: Set[Int]) extends SparkListener {
@@ -32,7 +32,7 @@ class RetrySpec extends SparkSpec {
       e.stageIds.foreach(jobOfStage(_) = jobs); jobs += 1
     }
     override def onTaskStart(e: SparkListenerTaskStart): Unit = synchronized {
-      if (e.taskInfo.attemptNumber == 0 && armed.remove(jobOfStage(e.stageId)))
+      if (e.taskInfo.index == 0 && e.taskInfo.attemptNumber == 0 && armed.remove(jobOfStage(e.stageId)))
         sc.killTaskAttempt(e.taskInfo.taskId, interruptThread = true, reason = "forced retry")
     }
     override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
@@ -92,6 +92,19 @@ class RetrySpec extends SparkSpec {
     val clean = run()
     assert(clean.rounds > 2 && clean.subtasksSpilled > 0 && clean.numCandidates > 0)
     // job 1 is round 2, whose tasks are round 1's spilled subtasks
+    assertSameRun(clean, withKills(Set(1))(run()))
+  }
+
+  test("a killed round task that other partitions steal from is retried without changing the answer or a count") {
+    // the first test's input at p = 4: nothing spills, so the one round's
+    // counts do not depend on timing; partition 0 starts with the biggest
+    // task, and the other three, done with their buckets, take its
+    // unstarted tasks (and each other's) while it mines
+    val d = GraphGen.hyvesLike()
+    def run() = Engine.run(spark.sparkContext, d.graph, d.gamma, d.tauSize, ASplit, EngineConfig(4, tauSplit = 65))
+    val clean = run()
+    assert(clean.subtasksSpawned > 0 && clean.subtasksSpilled == 0 && clean.rounds == 1)
+    // job 1 is the round
     assertSameRun(clean, withKills(Set(1))(run()))
   }
 }
