@@ -2,47 +2,26 @@ package repro.baselines
 
 import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.RDD
 import repro.graph.LocalGraph
 import repro.gthinker.Engine
-import scala.reflect.ClassTag
 
 /** The three G-thinker applications of Table 4 — triangle counting (TC),
   * maximum clique finding (MCF) and subgraph matching (GM, here: counting
   * 4-cliques) — implemented as per-vertex compute tasks over a broadcast
-  * graph, with the old-engine (owner placement, FIFO, kept here as its
-  * only user) vs redesigned-engine (`place`: big-task-first, 2p pulled
-  * slices) scheduling knob, mirroring the G-thinker vs G-thinker+ columns.
+  * graph. Both columns deal the vertex tasks with the engine's own
+  * `Engine.buckets` into p buckets, one partition each, and differ only in
+  * what counts as big, the paper's one point between them: G-thinker+
+  * (`prioritizeBig`) deals every vertex as big, highest degree first;
+  * G-thinker deals none as big, so vertex v goes to bucket v mod p,
+  * ascending (the original engine's owner placement).
   */
 object GThinkerApps {
 
-  /** Slices per worker in the G-thinker+ placement. Two was measured on 4
-    * vCPUs: four was no faster on `engine-results-enron` (wall −2%) and cost
-    * 7–10% more CPU there and on `engine-fine-hyves`.
-    */
-  private val PulledSlicesPerWorker = 2
-
-  /** `Engine.buckets` as an RDD for p workers, in 2p slices that idle cores
-    * pull: Spark starts slices 0 … p−1, which begin with the p biggest items,
-    * and hands each later slice to whichever core frees first (Spark's form
-    * of stealing from the global queue). That needs a cluster that runs at
-    * most p tasks at once (`defaultParallelism` ≤ p): on a larger one, 2p
-    * slices would run on 2p cores, so `place` keeps p slices there and p
-    * still bounds the workers. The quasi-clique engine's rounds deal p
-    * buckets instead, whose partitions steal from each other within an
-    * executor (`repro.gthinker.StealPool`).
-    */
-  private[baselines] def place[T: ClassTag](sc: SparkContext, items: Seq[T], p: Int, bigFrom: Int)(size: T => Int): RDD[T] = {
-    val slices = if (sc.defaultParallelism <= p) PulledSlicesPerWorker * p else p
-    Engine.fromBuckets(sc, Engine.buckets(items, slices, bigFrom)(size).toSeq)
-  }
-
-  /** Place per-vertex tasks on p workers: G-thinker+ by `place`, big =
-    * high degree; G-thinker in p static slices, slice i the v ≡ i (mod p), ascending.
+  /** The per-vertex tasks of `g` in p buckets (`Engine.buckets`), big =
+    * every vertex by degree for G-thinker+, none for G-thinker.
     */
   private[baselines] def placedVertices(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean) =
-    if (prioritizeBig) place(sc, 0 until g.n, p, bigFrom = 0)(g.degree)
-    else Engine.fromBuckets(sc, (0 until p).map(i => i until g.n by p))
+    Engine.fromBuckets(sc, Engine.buckets(0 until g.n, p, if (prioritizeBig) 0 else Int.MaxValue)(g.degree).toSeq)
 
   /** One Spark job: the app's partition body (a named class, as in every
     * engine job; see `Engine`) runs on the placed vertex tasks, and the
@@ -50,6 +29,7 @@ object GThinkerApps {
     */
   private def run(sc: SparkContext, g: LocalGraph, p: Int, prioritizeBig: Boolean)
                  (body: Broadcast[LocalGraph] => VertexTasks, reduce: (Long, Long) => Long): AppResult = {
+    require(p >= 1, s"p (workers) must be at least 1, got $p")
     val t0 = System.nanoTime
     val bc = sc.broadcast(g)
     val value = sc.runJob(placedVertices(sc, g, p, prioritizeBig), body(bc)).reduce(reduce)

@@ -21,8 +21,10 @@ import scala.collection.mutable.ArrayBuffer
   * pair of members that generalises P1, and rule B, a non-neighbour budget
   * on the members of S (the upper-bound dual of P6). They cut search nodes,
   * not results: the maximal sets are the same.
+  *
+  * The only configurations are the three presets of `object MinerConfig`.
   */
-final case class MinerConfig(isQuickPlus: Boolean, extraPrunes: Boolean)
+sealed abstract class MinerConfig(val isQuickPlus: Boolean, val extraPrunes: Boolean) extends Product with Serializable
 
 object Miner {
   /** Thrown when a mining run exceeds its wall-clock cap (used by the
@@ -62,15 +64,15 @@ object Miner {
 
 object MinerConfig {
   /** Quick+ with rules A and B: the default of every miner. */
-  val quickPlus: MinerConfig      = MinerConfig(isQuickPlus = true, extraPrunes = true)
+  case object quickPlus      extends MinerConfig(isQuickPlus = true, extraPrunes = true)
   /** Quick+ as published (P1–P7 only), for Tables 15 and 16. */
-  val quickPlusPaper: MinerConfig = MinerConfig(isQuickPlus = true, extraPrunes = false)
+  case object quickPlusPaper extends MinerConfig(isQuickPlus = true, extraPrunes = false)
   /** The original Quick, as published (Table 15): one critical vertex per
     * bounding round, no boundary-case prunes, no G(S) checks and (in
     * `QuickPlus.mineSerial`) no cover-vertex recoding, so it can run slower
     * and miss results.
     */
-  val quick: MinerConfig          = MinerConfig(isQuickPlus = false, extraPrunes = false)
+  case object quick          extends MinerConfig(isQuickPlus = false, extraPrunes = false)
 }
 
 /** Wall-clock nanoseconds spent in each pruning phase (Table 16).

@@ -89,8 +89,10 @@ private final case class Totals(mineNs: Long = 0L, matNs: Long = 0L, tasks: Long
     candidates + o.candidates)
 }
 
-/** The one record a partition of an engine job returns: its results, the
-  * tasks it gives back for the next round and its metric totals.
+/** The one record of mined work: its results, the tasks it gives back for
+  * the next round and its metric totals. Each partition of an engine job
+  * returns one, and so does each placed task's subtree within a round
+  * (`RoundBody.mineSubtree`).
   */
 private final case class PartOut(results: Array[Array[Int]], tasks: Array[QCTask], totals: Totals)
 
@@ -114,22 +116,18 @@ private final class SpawnBody(bc: Broadcast[LocalGraph], k: Int)
   }
 }
 
-/** What mining one placed task's subtree yields: the candidates (in global
-  * task ids, each sorted), the subtasks it spilled and its totals.
-  */
-private final case class Subtree(found: ArrayBuffer[Array[Int]], spilled: ArrayBuffer[QCTask], totals: Totals)
-
 /** A round's partition body. The partition's placed bucket goes into the
   * executor's `StealPool`: the partition mines its own placed tasks in
   * bucket order, then steals unstarted placed tasks from the round's other
   * running partitions in the same JVM, and returns once every task of its
   * bucket has been mined, by it or by a thief. Each placed task is mined
-  * with its whole subtree (`mineSubtree`), by whichever partition claimed
-  * it. The `PartOut` holds the subtrees of the partition's own bucket, in
-  * bucket order: their candidates that no other of them contains (a set
-  * contained in another valid one is maximal nowhere, so the driver's final
-  * filter returns the same sets), their spilled subtasks and their totals;
-  * `Totals.candidates` counts every candidate, before the filter.
+  * with its whole subtree (`mineSubtree`, one `PartOut` per subtree), by
+  * whichever partition claimed it. The partition's `PartOut` joins the
+  * subtrees of its own bucket, in bucket order: their candidates that no
+  * other of them contains (a set contained in another valid one is maximal
+  * nowhere, so the driver's final filter returns the same sets), their
+  * spilled subtasks and the sum of their totals, which counts every
+  * candidate, before the filter.
   */
 private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize: Int,
                               mode: Mode, tauSplit: Int, roundCostNs: Long)
@@ -138,18 +136,19 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
     val graph = bc.value
     val subtrees = RoundBody.pool.run((ctx.stageId, ctx.stageAttemptNumber), ctx.partitionId, it.toArray)(
       mineSubtree(graph, _))
-    val found = subtrees.flatMap(_.found)
-    PartOut(Maximality.filterMaximal(found.toSeq).toArray, subtrees.flatMap(_.spilled),
-      subtrees.foldLeft(Totals())(_ + _.totals).copy(candidates = found.length))
+    PartOut(Maximality.filterMaximal(subtrees.flatMap(_.results).toSeq).toArray, subtrees.flatMap(_.tasks),
+      subtrees.foldLeft(Totals())(_ + _.totals))
   }
 
   /** Mine `placed` and, depth-first from a local LIFO, the subtasks it
     * spawns, until the LIFO is empty. A subtask spills when it is big
     * (|ext| ≥ `tauSplit`) and the subtree has run for `roundCostNs` since
     * the placed task's materialization began (`Engine.spills`); every
-    * other subtask goes on the LIFO.
+    * other subtask goes on the LIFO. The subtree's `PartOut` holds its
+    * candidates (in global task ids, each sorted), its spilled subtasks and
+    * its totals, with every candidate counted.
     */
-  private def mineSubtree(graph: LocalGraph, placed: QCTask): Subtree = {
+  private def mineSubtree(graph: LocalGraph, placed: QCTask): PartOut = {
     val found = ArrayBuffer.empty[Array[Int]]
     val spilledOut = ArrayBuffer.empty[QCTask]
     val local = ArrayBuffer(placed) // LIFO of the subtree's own subtasks
@@ -179,13 +178,13 @@ private final class RoundBody(bc: Broadcast[LocalGraph], gamma: Double, tauSize:
       val dt = System.nanoTime - t1
       tot += Totals(dt, matNs, 1L, spawned, spilled, dt)
     }
-    Subtree(found, spilledOut, tot)
+    PartOut(found.toArray, spilledOut.toArray, tot.copy(candidates = found.length))
   }
 }
 
 private object RoundBody {
   /** The executor JVM's queue of the rounds' placed tasks. */
-  val pool = new StealPool[QCTask, Subtree]
+  val pool = new StealPool[QCTask, PartOut]
 }
 
 /** `Engine.fromBuckets`' flatMap body: a bucket's items, in order. */
@@ -206,10 +205,12 @@ private final class Unbucket[T] extends (Iterable[T] => Iterable[T]) with Serial
   * (`StealPool`, the paper's per-machine global queue): a partition whose
   * bucket is empty steals the next unstarted placed task of another running
   * partition and mines its whole subtree, so a worker that draws a straggler
-  * does not also keep a fixed p-th of the rest. The original engine's owner
-  * placement lives with its only user, `GThinkerApps`. Each partition of a
-  * round ships only the candidates that no other candidate of its bucket
-  * contains (`RoundBody`), and counts them all.
+  * does not also keep a fixed p-th of the rest. `buckets` is the one
+  * placement: the rounds deal their big tasks first, and Table 4's apps
+  * (`repro.baselines.GThinkerApps`) deal per-vertex tasks with it too, the
+  * original engine's owner placement being the deal with nothing big. Each
+  * partition of a round ships only the candidates that no other candidate
+  * of its bucket contains (`RoundBody`), and counts them all.
   *
   * Rule: no lambda, `collect` or `fold` in an engine job. Every job hands
   * Spark only instances of named serializable classes (`SpawnBody`,
@@ -336,7 +337,9 @@ object Engine {
     * into p buckets, one per worker, and bucket i becomes partition i
     * (`fromBuckets`); within an executor the partitions then take each
     * other's unstarted tasks from the front of their buckets (`StealPool`),
-    * biggest first.
+    * biggest first. A `bigFrom` above every size deals nothing as big: an
+    * arrival-order round-robin, item j to bucket j mod `slices`, which is
+    * the original G-thinker's owner placement (Table 4's G-thinker column).
     */
   private[repro] def buckets[T](items: Seq[T], slices: Int, bigFrom: Int)(size: T => Int): Array[ArrayBuffer[T]] = {
     val out = Array.fill(slices)(ArrayBuffer.empty[T])

@@ -49,22 +49,34 @@ class AppsSpec extends SparkSpec {
 
   test("Table 4 placements: G-thinker deals v to worker v mod p, G-thinker+ deals the highest degrees first") {
     val g = TestGraphs.erdosRenyi(23, 0.3, 4) // n = 23, a multiple of no p below
-    val cores = sc.defaultParallelism
     def partitions(rdd: RDD[Int]): Seq[Seq[Int]] = rdd.glom().collect().toSeq.map(_.toSeq)
+    def deal(p: Int, bigFrom: Int): Seq[Seq[Int]] = Engine.buckets(0 until g.n, p, bigFrom)(g.degree).toSeq.map(_.toSeq)
     for (p <- Seq(1, 3, 4)) {
       val owner = GThinkerApps.placedVertices(sc, g, p, prioritizeBig = false)
       assert(partitions(owner) == (0 until p).map(i => (i until g.n by p)), s"p=$p")
       assert(!hasShuffle(owner), s"p=$p")
+      // the owner placement is the engine's deal with nothing big
+      assert(partitions(owner) == deal(p, Int.MaxValue), s"p=$p")
       val big = GThinkerApps.placedVertices(sc, g, p, prioritizeBig = true)
-      // 2p pulled slices unless more than p cores would then run them at once,
-      // slice i holding bucket i of the big-first deal
-      val nSlices = if (cores <= p) 2 * p else p
-      assert(big.getNumPartitions == nSlices, s"p=$p")
-      val slices = partitions(big)
-      assert(slices == Engine.buckets(0 until g.n, nSlices, bigFrom = 0)(g.degree).toSeq.map(_.toSeq), s"p=$p")
-      assert(slices.flatten.sorted == (0 until g.n), s"p=$p")
-      assert(slices.take(p).map(s => g.degree(s.head)) == (0 until g.n).map(g.degree).sorted.reverse.take(p), s"p=$p")
+      // p partitions, partition i holding bucket i of the deal with every vertex big
+      assert(big.getNumPartitions == p, s"p=$p")
+      val parts = partitions(big)
+      assert(parts == deal(p, 0), s"p=$p")
+      assert(parts.flatten.sorted == (0 until g.n), s"p=$p")
+      assert(parts.map(s => g.degree(s.head)) == (0 until g.n).map(g.degree).sorted.reverse.take(p), s"p=$p")
       assert(!hasShuffle(big), s"p=$p")
+    }
+  }
+
+  test("Table 4 apps reject fewer than one worker, in both columns") {
+    val g = TestGraphs.erdosRenyi(12, 0.4, 6)
+    val apps = Seq[(String, (Int, Boolean) => AppResult)](
+      "TC" -> ((p, big) => GThinkerApps.triangleCount(sc, g, p, big)),
+      "GM" -> ((p, big) => GThinkerApps.fourCliqueCount(sc, g, p, big)),
+      "MCF" -> ((p, big) => GThinkerApps.maxClique(sc, g, p, big)))
+    for ((name, app) <- apps; big <- Seq(false, true); p <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](app(p, big))
+      assert(e.getMessage.contains("p (workers)"), s"$name big=$big p=$p: ${e.getMessage}")
     }
   }
 
